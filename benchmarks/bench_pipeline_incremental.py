@@ -1,29 +1,26 @@
-"""Pipelined + resumable incremental synthesis vs the serial stack.
+"""Resumable incremental synthesis vs the same loop without resume.
 
 The interactive workload the streaming work targets: one long
 demonstration (a wide list scrape, the paper's motivating shape) grown
 one action at a time, synthesizing after every action — the
-per-keystroke loop a recorder UI drives.  Two variants:
+per-keystroke loop a recorder UI drives.  Two variants, both on the
+one validation loop over a private in-memory cache:
 
-* **serial**: ``serial_validation_config()`` — the ``SerialScheduler``
-  loop with resumable loops pinned off.  Byte-exact with the
-  pre-pipeline synthesizer; the ablation baseline.
-* **pipelined**: ``pipeline_config()`` — the ``PipelineScheduler``
-  overlapping next-pop speculation with the current pop's validation
-  drain, plus resumable loop execution (continuation entries in the
-  execution cache make extension/generalization cost O(new actions)
-  instead of O(trace²)).
+* **no resume**: ``serial_validation_config()`` — resumable loops
+  pinned off; the ablation baseline.
+* **resume**: the same config with ``resumable_loops`` on —
+  continuation entries in the execution cache make
+  extension/generalization cost O(new actions) instead of O(trace²).
 
 Three assertions gate the result:
 
 * the synthesized program lists of every call are byte-identical
-  between the variants (the pipeline changes the schedule, never the
-  output);
+  between the variants (resuming changes the cost, never the output);
 * end-to-end wall clock clears the speedup floor (default 1.3×);
 * latency stays *flat* as the demonstration grows: the median of the
   last ten calls is within the flatness factor (default 2×) of the
-  early-call median — the serial baseline degrades super-linearly on
-  the same trace.
+  early-call median — the baseline degrades super-linearly on the same
+  trace.
 
 ``REPRO_PIPE_CARDS`` sets the demonstration width (two actions per
 card); ``REPRO_PIPE_MIN_SPEEDUP`` / ``REPRO_PIPE_MAX_LATE_RATIO``
@@ -35,6 +32,7 @@ import os
 import statistics
 import sys
 import time
+from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 from helpers import cards_page, scrape_cards_trace  # noqa: E402
@@ -42,10 +40,7 @@ from helpers import cards_page, scrape_cards_trace  # noqa: E402
 from repro.harness.report import fmt_ms, render_table  # noqa: E402
 from repro.lang import EMPTY_DATA  # noqa: E402
 from repro.lang.pretty import format_program  # noqa: E402
-from repro.synth.config import (  # noqa: E402
-    pipeline_config,
-    serial_validation_config,
-)
+from repro.synth.config import serial_validation_config  # noqa: E402
 from repro.synth.synthesizer import Synthesizer  # noqa: E402
 
 
@@ -65,7 +60,6 @@ def _drive_session(config, actions, snapshots):
         resume_hits += result.stats.cache_resume_hits
         programs.append(tuple(format_program(p) for p in result.programs))
     total = time.perf_counter() - started
-    synthesizer.close()
     return total, programs, latencies, resume_hits
 
 
@@ -92,31 +86,34 @@ def test_pipeline_incremental_speedup(benchmark, quick):
     dom = cards_page(cards)
     actions, snapshots = scrape_cards_trace(dom, cards)
 
+    baseline_config = serial_validation_config()
+    resume_config = replace(baseline_config, resumable_loops=True)
+
     def run_pair():
         # untimed warm-up builds the snapshot index both variants see,
-        # so the timed runs differ only in scheduler + resume machinery
-        _drive_session(serial_validation_config(), actions, snapshots)
-        serial = _drive_session(serial_validation_config(), actions, snapshots)
-        pipelined = _drive_session(pipeline_config(), actions, snapshots)
-        return serial, pipelined
+        # so the timed runs differ only in the resume machinery
+        _drive_session(baseline_config, actions, snapshots)
+        baseline = _drive_session(baseline_config, actions, snapshots)
+        resumed = _drive_session(resume_config, actions, snapshots)
+        return baseline, resumed
 
-    serial, pipelined = benchmark.pedantic(run_pair, rounds=1, iterations=1)
-    serial_time, serial_programs, serial_latencies, serial_resume = serial
-    pipe_time, pipe_programs, pipe_latencies, pipe_resume = pipelined
-    speedup = serial_time / pipe_time if pipe_time else 0.0
-    serial_early, serial_late = _latency_profile(serial_latencies)
-    pipe_early, pipe_late = _latency_profile(pipe_latencies)
-    pipe_ratio = pipe_late / pipe_early if pipe_early else 0.0
-    serial_ratio = serial_late / serial_early if serial_early else 0.0
+    baseline, resumed = benchmark.pedantic(run_pair, rounds=1, iterations=1)
+    base_time, base_programs, base_latencies, base_resume = baseline
+    resume_time, resume_programs, resume_latencies, resume_hits = resumed
+    speedup = base_time / resume_time if resume_time else 0.0
+    base_early, base_late = _latency_profile(base_latencies)
+    resume_early, resume_late = _latency_profile(resume_latencies)
+    resume_ratio = resume_late / resume_early if resume_early else 0.0
+    base_ratio = base_late / base_early if base_early else 0.0
 
     benchmark.extra_info["cards"] = cards
     benchmark.extra_info["calls"] = len(actions)
-    benchmark.extra_info["serial_seconds"] = round(serial_time, 4)
-    benchmark.extra_info["pipeline_seconds"] = round(pipe_time, 4)
+    benchmark.extra_info["baseline_seconds"] = round(base_time, 4)
+    benchmark.extra_info["resume_seconds"] = round(resume_time, 4)
     benchmark.extra_info["speedup"] = round(speedup, 2)
-    benchmark.extra_info["serial_late_ratio"] = round(serial_ratio, 2)
-    benchmark.extra_info["pipeline_late_ratio"] = round(pipe_ratio, 2)
-    benchmark.extra_info["resume_hits"] = pipe_resume
+    benchmark.extra_info["baseline_late_ratio"] = round(base_ratio, 2)
+    benchmark.extra_info["resume_late_ratio"] = round(resume_ratio, 2)
+    benchmark.extra_info["resume_hits"] = resume_hits
 
     print()
     print(f"Incremental synthesis over a {len(actions)}-action demonstration")
@@ -125,32 +122,32 @@ def test_pipeline_incremental_speedup(benchmark, quick):
             ["variant", "total", "early call", "late call", "late/early"],
             [
                 [
-                    "serial, no resume",
-                    fmt_ms(serial_time),
-                    fmt_ms(serial_early),
-                    fmt_ms(serial_late),
-                    f"{serial_ratio:.2f}x",
+                    "no resume",
+                    fmt_ms(base_time),
+                    fmt_ms(base_early),
+                    fmt_ms(base_late),
+                    f"{base_ratio:.2f}x",
                 ],
                 [
-                    "pipelined + resume",
-                    fmt_ms(pipe_time),
-                    fmt_ms(pipe_early),
-                    fmt_ms(pipe_late),
-                    f"{pipe_ratio:.2f}x",
+                    "resume",
+                    fmt_ms(resume_time),
+                    fmt_ms(resume_early),
+                    fmt_ms(resume_late),
+                    f"{resume_ratio:.2f}x",
                 ],
             ],
         )
     )
-    print(f"speedup: {speedup:.2f}x; loop resume hits: {pipe_resume}")
+    print(f"speedup: {speedup:.2f}x; loop resume hits: {resume_hits}")
 
     # behaviour preservation first: every call must synthesize
     # byte-identical program lists under both variants
-    assert serial_programs == pipe_programs, (
-        "the pipeline changed the synthesized programs"
+    assert base_programs == resume_programs, (
+        "resumable loops changed the synthesized programs"
     )
-    assert serial_resume == 0, "the serial baseline must not take resume hits"
-    assert pipe_resume > 0, "resumable loops never engaged"
+    assert base_resume == 0, "the baseline must not take resume hits"
+    assert resume_hits > 0, "resumable loops never engaged"
     assert speedup >= min_speedup
-    # streaming latency: the pipelined variant stays interactive as the
+    # streaming latency: the resuming variant stays interactive as the
     # demonstration grows
-    assert pipe_ratio <= max_late_ratio
+    assert resume_ratio <= max_late_ratio

@@ -51,8 +51,7 @@ from repro.harness.report import fmt_ms, fmt_pct, render_table
 from repro.synth.config import DEFAULT_CONFIG
 
 #: Loop-heavy, execution-dominated subjects (the work the persistent
-#: backend actually dedups across processes) — the parallel-validation
-#: bench's reasoning applies unchanged.
+#: backend actually dedups across processes).
 DEFAULT_BIDS = "b1+,b2+,b5+,b15,b73"
 
 
@@ -78,12 +77,7 @@ def _drive_sessions(backend, subjects, sessions):
     """
     from repro.service.sessions import SessionManager
 
-    config = replace(
-        DEFAULT_CONFIG,
-        shared_cache=True,
-        validation_workers=0,
-        cache_backend=backend,
-    )
+    config = replace(DEFAULT_CONFIG, shared_cache=True, cache_backend=backend)
     manager = SessionManager(config, timeout=10.0)
     programs = []
     elapsed = 0.0

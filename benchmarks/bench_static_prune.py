@@ -1,11 +1,10 @@
 """Static-pruning bench: engine validations saved, programs unchanged.
 
 Runs the multi-session scaling workload — several incremental
-demonstration sessions per subject, the same shape as
-``bench_parallel_validation.py`` — twice over the serial stack: once
-with the static feasibility analysis disabled and once enabled
+demonstration sessions per subject — twice: once with the static
+feasibility analysis disabled and once enabled
 (:mod:`repro.analysis.feasibility` refuting speculated candidates
-before the scheduler dispatches them to the execution engine).
+before they are validated on the execution engine).
 
 Subjects are validation-pressure benchmarks: demonstrations whose
 speculation emits many candidates per pop that Algorithm 3 must then
@@ -83,7 +82,6 @@ def _run_workload(config, subjects, sessions):
                 )
             total += time.perf_counter() - started
             programs.append(per_call)
-            synthesizer.close()
     return total, programs, validations, pruned
 
 

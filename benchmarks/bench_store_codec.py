@@ -106,7 +106,6 @@ def _drive_sessions(backend, subjects, sessions, shared=True):
     config = replace(
         DEFAULT_CONFIG,
         shared_cache=True if shared else None,
-        validation_workers=0,
         cache_backend=backend,
     )
     manager = SessionManager(config, timeout=10.0, share_cache=shared)

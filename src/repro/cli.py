@@ -7,15 +7,14 @@ Commands
 ``record <bid> [-o FILE]``
     Instrument a benchmark's ground truth and write the recorded
     demonstration as JSON.
-``synthesize <FILE> [--cut K] [--data JSON] [--stats] [--workers N] [--shared-cache]``
+``synthesize <FILE> [--cut K] [--data JSON] [--stats] [--shared-cache]``
     Load a recorded demonstration, synthesize at prefix ``K`` (default:
     all but the last action), print the best program and prediction.
     ``--stats`` also prints synthesis + execution-engine telemetry
-    (worklist activity, cache hits/misses, DOM index builds, worker and
-    shared-cache counters).  ``--workers N`` validates candidates on an
-    N-thread pool (output stays byte-identical to serial);
-    ``--shared-cache`` joins the process-level execution cache so
-    repeated invocations in one process share executions.
+    (worklist activity, cache hits/misses, DOM index builds and
+    shared-cache counters).  ``--shared-cache`` joins the process-level
+    execution cache so repeated invocations in one process share
+    executions.
     ``--trace-out FILE`` records spans for the run and writes a Chrome
     trace-event JSON loadable in Perfetto / ``chrome://tracing``.
 ``metrics [--url URL]``
@@ -116,9 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--timeout", type=float, default=1.0)
     synth.add_argument("--stats", action="store_true",
                        help="print synthesis + execution-engine telemetry")
-    synth.add_argument("--workers", type=int, default=None,
-                       help="validation worker threads (default: "
-                            "$REPRO_VALIDATION_WORKERS or serial)")
     synth.add_argument("--shared-cache", action="store_true",
                        help="join the process-level shared execution cache")
     synth.add_argument("--backend", default=None, metavar="BACKEND",
@@ -162,8 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(default: $REPRO_CODEC or binary)")
     serve.add_argument("--timeout", type=float, default=1.0,
                        help="per-action synthesis budget in seconds")
-    serve.add_argument("--synth-workers", type=int, default=None,
-                       help="validation worker threads per session")
     serve.add_argument("--session-ttl", type=float, default=None,
                        help="evict sessions idle longer than this many "
                             "seconds (default: $REPRO_SESSION_TTL or never)")
@@ -317,7 +311,6 @@ def _cmd_record(bid: str, output: Optional[str], max_actions: int) -> int:
 
 def _cmd_synthesize(path: str, cut: Optional[int], data_path: Optional[str],
                     timeout: float, show_stats: bool = False,
-                    workers: Optional[int] = None,
                     shared_cache: bool = False,
                     backend: Optional[str] = None,
                     codec: Optional[str] = None,
@@ -341,12 +334,11 @@ def _cmd_synthesize(path: str, cut: Optional[int], data_path: Optional[str],
     prefix = max(1, min(prefix, recording.length - 1))
     actions, snapshots = recording.prefix(prefix)
     config = DEFAULT_CONFIG
-    if workers is not None or shared_cache or backend is not None:
+    if shared_cache or backend is not None:
         from dataclasses import replace
 
         config = replace(
             config,
-            validation_workers=workers,
             shared_cache=True if shared_cache else None,
             cache_backend=backend,
         )
@@ -358,12 +350,8 @@ def _cmd_synthesize(path: str, cut: Optional[int], data_path: Optional[str],
 
         # one root context for the run, so every span shares a trace_id
         trace_scope = obs_context.use(obs_context.new_root())
-    synthesizer = Synthesizer(data, config)
-    try:
-        with trace_scope:
-            result = synthesizer.synthesize(actions, snapshots, timeout=timeout)
-    finally:
-        synthesizer.close()
+    with trace_scope:
+        result = Synthesizer(data, config).synthesize(actions, snapshots, timeout=timeout)
     if trace_out is not None:
         from repro.obs import tracing as obs_tracing
 
@@ -447,7 +435,6 @@ def _cmd_serve(arguments) -> int:
         DEFAULT_CONFIG,
         shared_cache=True,
         cache_backend=arguments.backend,
-        validation_workers=arguments.synth_workers,
     )
     port = arguments.port if arguments.port is not None else DEFAULT_PORT
     return serve(
@@ -681,7 +668,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_synthesize(
             arguments.recording, arguments.cut, arguments.data,
             arguments.timeout, arguments.stats,
-            arguments.workers, arguments.shared_cache, arguments.backend,
+            arguments.shared_cache, arguments.backend,
             arguments.codec, arguments.trace_out,
         )
     if arguments.command == "metrics":

@@ -72,8 +72,8 @@ _ENUM_MEMO_BYTES = int(os.environ.get("REPRO_ENUM_MEMO_BYTES", str(8 << 20)))
 _ENABLED = os.environ.get("REPRO_DOM_INDEX", "1") != "0"
 _BUILDS = 0
 _TRACKERS = threading.local()
-#: Serializes lazy index construction: without it two validation
-#: workers racing on a cold snapshot would each pay the full pre-order
+#: Serializes lazy index construction: without it two sessions'
+#: threads racing on a cold snapshot would each pay the full pre-order
 #: walk and one build would be discarded (correct but wasted, and the
 #: build counters would double-count).  ``index_for`` only takes the
 #: lock on the cold path.
@@ -132,38 +132,6 @@ def track_builds():
         stack.remove(tracker)
 
 
-def current_trackers() -> tuple[BuildTracker, ...]:
-    """This thread's active tracker scopes, outermost first.
-
-    A scheduler hands these to its worker threads (via
-    :func:`adopt_trackers`) so index builds forced *inside a worker*
-    still count toward the synthesize call that spawned it — tracker
-    scopes are thread-local and would otherwise miss them.
-    """
-    return tuple(getattr(_TRACKERS, "stack", ()))
-
-
-@contextmanager
-def adopt_trackers(trackers: tuple[BuildTracker, ...]):
-    """Attribute this thread's builds to another thread's trackers.
-
-    Installs the given trackers (captured with :func:`current_trackers`
-    on the coordinating thread) at the bottom of this thread's stack for
-    the duration of the scope.  Counts are incremented under the build
-    lock, so concurrent workers adopting the same tracker stay exact.
-    """
-    stack = getattr(_TRACKERS, "stack", None)
-    if stack is None:
-        stack = _TRACKERS.stack = []
-    adopted = [tracker for tracker in trackers if tracker not in stack]
-    stack[:0] = adopted
-    try:
-        yield
-    finally:
-        for tracker in adopted:
-            stack.remove(tracker)
-
-
 def _record_build() -> None:
     # callers hold _BUILD_LOCK (index_for) or are single-threaded test
     # constructions, so the increments below are not racy
@@ -194,7 +162,7 @@ class EnumMemo:
 
     Exposes the mapping surface the enumeration call sites use
     (``get`` / item assignment).  Writes take a small lock so concurrent
-    validation workers cannot corrupt the byte account; reads stay
+    session threads cannot corrupt the byte account; reads stay
     lockless (a dict probe of an immutable result).
     """
 
@@ -272,8 +240,8 @@ class SnapshotIndex:
     sessions — shares them.  The buckets pin every node of the
     snapshot, so id-keyed memo entries can never go stale.
 
-    The memo layers are safe to fill from concurrent validation
-    workers without locks: every entry is a deterministic function of
+    The memo layers are safe to fill from concurrent session threads
+    without locks: every entry is a deterministic function of
     the immutable snapshot, and each write is a single id-keyed dict
     assignment — a lost check-then-act race recomputes the same value,
     it never corrupts the table.

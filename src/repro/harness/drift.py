@@ -149,8 +149,7 @@ def synthesized_program() -> Program:
             scrape_text(parse_selector(f"//div[@class='card'][{index}]/div[1]"))
         )
     actions, snapshots = browser.trace()
-    with Synthesizer(EMPTY_DATA) as synthesizer:
-        result = synthesizer.synthesize(actions, snapshots)
+    result = Synthesizer(EMPTY_DATA).synthesize(actions, snapshots)
     if result.best_program is None:
         raise RuntimeError("synthesis failed on the clean drift page")
     return result.best_program

@@ -158,47 +158,47 @@ def evaluate_benchmark(
         expected_supported=benchmark.expected_supported,
     )
     final_program: Optional[Program] = None
-    with Synthesizer(benchmark.data, config) as synthesizer:
-        for k in range(1, tests + 1):
-            actions, snapshots = recording.prefix(k)
-            started = time.perf_counter()
-            synthesis = synthesizer.synthesize(
-                actions, snapshots, timeout=per_test_timeout
-            )
-            elapsed = time.perf_counter() - started
-            result.tests += 1
-            result.timed_out_tests += synthesis.stats.timed_out
-            result.cache_hits += synthesis.stats.cache_hits
-            result.cache_misses += synthesis.stats.cache_misses
-            result.cache_exact_hits += synthesis.stats.cache_exact_hits
-            result.cache_prefix_hits += synthesis.stats.cache_prefix_hits
-            result.cache_consistency_hits += synthesis.stats.cache_consistency_hits
-            result.cache_cross_session_hits += synthesis.stats.cache_cross_session_hits
-            result.cache_warm_hits += synthesis.stats.cache_warm_hits
-            result.cache_decode_hits += synthesis.stats.cache_decode_hits
-            result.cache_decode_bytes += synthesis.stats.cache_decode_bytes
-            result.cache_backend = synthesis.stats.cache_backend
-            result.index_builds += synthesis.stats.index_builds
-            result.enum_indexed += synthesis.stats.enum_indexed
-            result.enum_fallback += synthesis.stats.enum_fallback
-            result.max_programs = max(result.max_programs, len(synthesis.programs))
-            result.max_predictions = max(
-                result.max_predictions, len(synthesis.predictions)
-            )
-            expected = recording.actions[k]
-            dom = recording.snapshots[k]
-            if synthesis.predictions:
-                result.prediction_times.append(elapsed)
-                if actions_consistent(synthesis.predictions[0], expected, dom):
-                    result.correct_top1 += 1
-                if any(
-                    actions_consistent(option, expected, dom)
-                    for option in synthesis.predictions
-                ):
-                    result.correct += 1
-            if synthesis.best_program is not None:
-                final_program = synthesis.best_program
-                result.final_programs_count = len(synthesis.programs)
+    synthesizer = Synthesizer(benchmark.data, config)
+    for k in range(1, tests + 1):
+        actions, snapshots = recording.prefix(k)
+        started = time.perf_counter()
+        synthesis = synthesizer.synthesize(
+            actions, snapshots, timeout=per_test_timeout
+        )
+        elapsed = time.perf_counter() - started
+        result.tests += 1
+        result.timed_out_tests += synthesis.stats.timed_out
+        result.cache_hits += synthesis.stats.cache_hits
+        result.cache_misses += synthesis.stats.cache_misses
+        result.cache_exact_hits += synthesis.stats.cache_exact_hits
+        result.cache_prefix_hits += synthesis.stats.cache_prefix_hits
+        result.cache_consistency_hits += synthesis.stats.cache_consistency_hits
+        result.cache_cross_session_hits += synthesis.stats.cache_cross_session_hits
+        result.cache_warm_hits += synthesis.stats.cache_warm_hits
+        result.cache_decode_hits += synthesis.stats.cache_decode_hits
+        result.cache_decode_bytes += synthesis.stats.cache_decode_bytes
+        result.cache_backend = synthesis.stats.cache_backend
+        result.index_builds += synthesis.stats.index_builds
+        result.enum_indexed += synthesis.stats.enum_indexed
+        result.enum_fallback += synthesis.stats.enum_fallback
+        result.max_programs = max(result.max_programs, len(synthesis.programs))
+        result.max_predictions = max(
+            result.max_predictions, len(synthesis.predictions)
+        )
+        expected = recording.actions[k]
+        dom = recording.snapshots[k]
+        if synthesis.predictions:
+            result.prediction_times.append(elapsed)
+            if actions_consistent(synthesis.predictions[0], expected, dom):
+                result.correct_top1 += 1
+            if any(
+                actions_consistent(option, expected, dom)
+                for option in synthesis.predictions
+            ):
+                result.correct += 1
+        if synthesis.best_program is not None:
+            final_program = synthesis.best_program
+            result.final_programs_count = len(synthesis.programs)
     result.final_program = final_program
     result.intended = _is_intended(benchmark, final_program, recording)
     return result

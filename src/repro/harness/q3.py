@@ -77,22 +77,18 @@ def run_session(
     """Run one interactive session for a benchmark task."""
     recording = _capped_recording(benchmark, cap if cap is not None else q3_trace_cap())
     browser = benchmark.fresh_browser()
-    synthesizer = Synthesizer(benchmark.data)
     if noisy:
         user = NoisyUser(recording, mistake_rate=0.08, seed=seed)
     else:
         user = OracleUser(recording)
     session = InteractiveSession(
         browser,
-        synthesizer,
+        Synthesizer(benchmark.data),
         user,
         max_steps=4 * recording.length + 50,
         synth_timeout=q3_timeout(),
     )
-    try:
-        return session.run()
-    finally:
-        synthesizer.close()
+    return session.run()
 
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,9 @@ string:
   canonical encodings are unchanged when observability is off.
 
 Scoping uses a :mod:`contextvars` variable, so concurrent server
-request threads each see their own context.  Pool/pipeline executor
-threads do **not** inherit contextvars from the submitting thread —
-schedulers capture :func:`current` and re-enter it with :func:`use`
+request threads each see their own context.  Executor threads do
+**not** inherit contextvars from the submitting thread — code handing
+work to one captures :func:`current` and re-enters it with :func:`use`
 inside the worker closure.
 """
 

@@ -88,16 +88,6 @@ class SynthesisConfig:
     max_cache_entries:
         Bound on entries per execution-cache table; least-recently-used
         outcomes are evicted first.
-    validation_workers:
-        Validation concurrency.  0 (or 1) keeps the byte-exact legacy
-        serial loop (:class:`repro.synth.scheduler.SerialScheduler`);
-        N > 1 validates each pop's candidate list on an N-thread pool
-        (:class:`repro.synth.scheduler.PoolScheduler`) with a
-        deterministic rank-order merge — synthesized programs are
-        byte-identical to serial (absent per-call timeouts, which clip
-        the two loops at different points).  ``None`` (the default)
-        resolves from ``REPRO_VALIDATION_WORKERS``, so a deployment or
-        CI matrix can flip the whole stack without code changes.
     shared_cache:
         Back the engine with the *process-level*
         :class:`repro.engine.cache.SharedExecutionCache` instead of a
@@ -116,18 +106,6 @@ class SynthesisConfig:
         for the same reason as ``shared_cache``: the cache keys are
         value-addressed end to end, and hits replay recorded outcomes
         verbatim.
-    pipeline:
-        Overlap speculation of the next worklist pop with validation of
-        the current one (:class:`repro.synth.scheduler.
-        PipelineScheduler`): validated rewrites are merged and pushed by
-        a dedicated drain thread in the same deterministic rank order
-        the serial loop uses, so synthesized programs stay
-        byte-identical to :class:`~repro.synth.scheduler.
-        SerialScheduler` (absent per-call timeouts, same caveat as
-        ``validation_workers``).  Composes with ``validation_workers``:
-        with N > 1 workers the drain thread dispatches validation waves
-        to the pool.  ``None`` (the default) resolves from
-        ``REPRO_PIPELINE=1``.
     resumable_loops:
         Let the execution cache record *continuations* for loop runs
         that absorb their whole window, so the synthesizer's extension
@@ -137,7 +115,7 @@ class SynthesisConfig:
         §5.4 interactivity requirement.  Behaviour-preserving: the
         iteration-top state fully determines the remainder, so resumed
         runs are identical to from-scratch runs.  On by default; the
-        incremental-pipeline bench measures the serial ablation.
+        incremental-pipeline bench measures the ablation.
     ranking:
         Name of the ranking strategy applied to generalizing programs
         (see :mod:`repro.synth.ranking`); the default is the paper's
@@ -185,10 +163,8 @@ class SynthesisConfig:
     use_execution_cache: bool = True
     use_index_enumeration: bool = True
     max_cache_entries: int = 4096
-    validation_workers: Optional[int] = None
     shared_cache: Optional[bool] = None
     cache_backend: Optional[str] = None
-    pipeline: Optional[bool] = None
     resumable_loops: bool = True
     ranking: str = "size"
     use_shape_gates: bool = True
@@ -230,19 +206,6 @@ def no_index_enumeration_config(base: SynthesisConfig = DEFAULT_CONFIG) -> Synth
     return replace(base, use_index_enumeration=False)
 
 
-def resolved_validation_workers(config: SynthesisConfig) -> int:
-    """The effective worker count: the config knob, else the environment.
-
-    ``REPRO_VALIDATION_WORKERS`` lets a CI matrix or deployment flip
-    every synthesizer in the process to pooled validation; an explicit
-    config value always wins (benches pin both variants this way).
-    """
-    if config.validation_workers is not None:
-        return max(0, config.validation_workers)
-    raw = os.environ.get("REPRO_VALIDATION_WORKERS", "").strip()
-    return max(0, int(raw)) if raw else 0
-
-
 def resolved_shared_cache(config: SynthesisConfig) -> bool:
     """Whether the engine should join the process-level shared cache."""
     if config.shared_cache is not None:
@@ -260,18 +223,6 @@ def resolved_cache_backend(config: SynthesisConfig) -> str:
     if config.cache_backend is not None:
         return config.cache_backend
     return os.environ.get("REPRO_CACHE_BACKEND", "").strip() or "memory"
-
-
-def resolved_pipeline(config: SynthesisConfig) -> bool:
-    """Whether the pipelined worklist schedule is in effect.
-
-    ``REPRO_PIPELINE=1`` flips every synthesizer in the process to the
-    pipelined schedule (the CI parity leg runs tier-1 this way); an
-    explicit config value always wins.
-    """
-    if config.pipeline is not None:
-        return config.pipeline
-    return os.environ.get("REPRO_PIPELINE", "").strip() == "1"
 
 
 def resolved_static_prune(config: SynthesisConfig) -> bool:
@@ -297,40 +248,18 @@ def file_backend_config(base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisConf
 
 
 def serial_validation_config(base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisConfig:
-    """Serial validation over private caches, pinned against the env.
+    """Resumable loops off, over a private in-memory cache.
 
-    The exact pre-concurrency behaviour — the ablation baseline the
-    parallel-validation and pipeline benches compare against — so the
-    pipelined schedule and resumable loops are pinned off too.
+    The ablation baseline the incremental-pipeline bench compares
+    resumable loops against; the cache is pinned so that
+    ``REPRO_SHARED_CACHE`` and ``REPRO_CACHE_BACKEND`` cannot reach it.
     """
     return replace(
         base,
-        validation_workers=0,
         shared_cache=False,
         cache_backend="memory",
-        pipeline=False,
         resumable_loops=False,
     )
-
-
-def pipeline_config(
-    workers: int = 0,
-    shared: bool = False,
-    base: SynthesisConfig = DEFAULT_CONFIG,
-) -> SynthesisConfig:
-    """The pipelined worklist schedule, optionally over pooled validation."""
-    return replace(
-        base, pipeline=True, validation_workers=workers, shared_cache=shared
-    )
-
-
-def parallel_validation_config(
-    workers: int = 4,
-    shared: bool = True,
-    base: SynthesisConfig = DEFAULT_CONFIG,
-) -> SynthesisConfig:
-    """Pooled validation over the process-level shared cache."""
-    return replace(base, validation_workers=workers, shared_cache=shared)
 
 
 def ranking_config(strategy: str, base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisConfig:

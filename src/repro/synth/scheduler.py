@@ -1,60 +1,20 @@
-"""Validation scheduling: how one pop's candidate list gets validated.
+"""Validation of one worklist pop's candidate list (Algorithm 1's inner loop).
 
-Algorithm 1's inner loop — pop a worklist tuple, speculate candidate
-rewrites, validate each against the trace, push the survivors — used to
-live inline in :mod:`repro.synth.synthesizer`.  The *validation* half is
-embarrassingly parallel: ``validate`` is a pure function of
-``(candidate, tuple, context)`` whose only shared touch-point is the
-execution engine, which is side-effect-free by construction (cache fills
-replay identically).  This module makes the schedule an explicit seam:
-
-:class:`SerialScheduler`
-    The legacy inline loop, moved verbatim.  Byte-exact with the
-    pre-scheduler synthesizer — the default, and the ablation baseline.
-
-:class:`PoolScheduler`
-    Validates the candidate list on a thread pool, then merges results
-    back *in rank order* (the same smallest-statement-first order the
-    serial loop consumes), applying the per-span rewrite cap and the
-    worklist pushes on the coordinating thread only.  Synthesized
-    programs are byte-identical to serial because every decision that
-    depends on order — cap accounting, pushes, generalization checks —
-    happens in the deterministic merge, never in the workers.
-
-Determinism caveat: the two schedulers clip differently under a per-call
-*timeout* (serial can stop mid-list; the pool completes a dispatched
-batch), so byte-identity is guaranteed for calls that finish within
-their deadline — the regime every parity test and bench runs in.
-
-The pool dispatches in *waves* to respect the per-span rewrite cap
-without serializing: each wave submits, per span still in play, only
-the next few candidates the serial loop could possibly validate (the
-cap-sized head, doubling per round so sparse-success spans converge in
-O(log n) waves).  A span retires once its confirmed successes reach the
-cap.  The only speculative work is the tail of the wave in which a span
-hits its cap — bounded by the wave size — and candidate lists below
-``min_batch`` skip the pool entirely: dispatching two futures for a
-three-candidate list costs more than validating it inline.
-
-Telemetry under the pool is merge-based: each worker records engine
-counters into a private :class:`~repro.engine.cache.CacheCounters`
-(:meth:`ExecutionEngine.worker_counters`) and the scheduler folds them
-into the session totals at join, so ``hits == exact + prefix +
-consistency`` holds exactly no matter how the work interleaved.  Index
-builds forced inside workers are attributed to the synthesize call's
-tracker via :func:`repro.engine.index.adopt_trackers`.
+Algorithm 1 pops a worklist tuple, speculates candidate rewrites,
+validates each against the trace, and pushes the survivors.
+:func:`process_pop` is the validation half: statically refute what
+Algorithm 3 provably rejects, rank the rest smallest-statement-first
+within each span, then validate them in that order on the calling
+thread, keeping at most ``max_rewrites_per_span`` successes per span.
+The loop is sequential, so the pushes — and through them the
+synthesized programs — follow one deterministic order.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 from repro.analysis.feasibility import infeasible
-from repro.engine import index as dom_index
-from repro.obs import context as obs_context
-from repro.obs import tracing as obs_tracing
 from repro.synth.config import resolved_static_prune
 from repro.synth.rewrite import RewriteTuple
 from repro.synth.speculate import SpeculationContext, SRewrite
@@ -71,7 +31,7 @@ def _static_prune(
     context: SpeculationContext,
     stats,
 ) -> None:
-    """Drop candidates Algorithm 3 provably rejects, before any dispatch.
+    """Drop candidates Algorithm 3 provably rejects, before validation.
 
     Two sound refutations (see :mod:`repro.analysis.feasibility`): the
     tuple has no statement boundary ``>= end + 2`` for the matched
@@ -83,9 +43,8 @@ def _static_prune(
     pruning on or off; only the engine executions saved differ
     (``stats.pruned`` counts them).
 
-    Runs on the coordinating thread for every scheduler (the pipeline
-    prunes at submit time), in place, before ranking — a pruned
-    candidate costs neither a rank key nor a wave slot.
+    Runs in place, before ranking — a pruned candidate costs no rank
+    key.
     """
     if not candidates or not resolved_static_prune(context.config):
         return
@@ -127,420 +86,33 @@ def _rank_order(candidates: list[SRewrite], context: SpeculationContext) -> None
     )
 
 
-class ValidationScheduler:
-    """Strategy for draining one pop's candidate list through validate."""
+def process_pop(
+    current: RewriteTuple,
+    candidates: list[SRewrite],
+    context: SpeculationContext,
+    deadline: Deadline,
+    stats,
+    push: PushFn,
+) -> None:
+    """Validate ``candidates`` against ``current``; push survivors.
 
-    #: Worker count the scheduler actually uses (0 = inline/serial).
-    workers: int = 0
-
-    def process_pop(
-        self,
-        current: RewriteTuple,
-        candidates: list[SRewrite],
-        context: SpeculationContext,
-        deadline: Deadline,
-        stats,
-        push: PushFn,
-    ) -> None:
-        """Validate ``candidates`` against ``current``; push survivors.
-
-        Mutates ``stats`` (``validated``, ``validations``, ``pruned``,
-        ``timed_out``) and calls ``push`` on the coordinating thread
-        only.
-        """
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release scheduler resources (worker threads)."""
-
-
-class SerialScheduler(ValidationScheduler):
-    """The legacy inline validation loop (byte-exact, the default)."""
-
-    def process_pop(
-        self,
-        current: RewriteTuple,
-        candidates: list[SRewrite],
-        context: SpeculationContext,
-        deadline: Deadline,
-        stats,
-        push: PushFn,
-    ) -> None:
-        _static_prune(current, candidates, context, stats)
-        _rank_order(candidates, context)
-        max_per_span = context.config.max_rewrites_per_span
-        per_span: dict[tuple, int] = {}
-        for candidate in candidates:
-            if deadline.expired():
-                stats.timed_out = True
-                break
-            span_key = (candidate.start, candidate.end)
-            if per_span.get(span_key, 0) >= max_per_span:
-                continue
-            stats.validations += 1
-            rewritten = validate(candidate, current, context)
-            if rewritten is not None:
-                per_span[span_key] = per_span.get(span_key, 0) + 1
-                stats.validated += 1
-                push(rewritten)
-
-
-class PoolScheduler(ValidationScheduler):
-    """Thread-pool validation with a deterministic rank-order merge.
-
-    Each wave's batch is split into at most ``workers`` strided chunks
-    (one future each — submission overhead stays O(workers) per wave,
-    not O(candidates)) and results are written back by candidate index,
-    so the final merge consumes them in exactly the serial loop's order.
-    Workers only ever call ``validate``; wave planning, cap bookkeeping,
-    stats, and pushes stay on the coordinating thread.
-
-    The engine behind ``context`` must be concurrency-safe —
-    :meth:`ExecutionEngine.for_config` backs any config with
-    ``validation_workers > 0`` by a lock-striped
-    :class:`~repro.engine.cache.SharedExecutionCache` (private or
-    process-level) for exactly this reason.
+    Mutates ``candidates`` (pruned and ranked in place) and ``stats``
+    (``validated``, ``validations``, ``pruned``, ``timed_out``).
     """
-
-    def __init__(self, workers: int, min_batch: Optional[int] = None) -> None:
-        if workers < 2:
-            raise ValueError("PoolScheduler needs at least 2 workers")
-        self.workers = workers
-        #: Smallest candidate list worth dispatching; shorter lists run
-        #: inline (dispatch latency would exceed the validation work).
-        self.min_batch = max(2 * workers, 8) if min_batch is None else min_batch
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _executor(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-validate"
-            )
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    # ------------------------------------------------------------------
-    def process_pop(
-        self,
-        current: RewriteTuple,
-        candidates: list[SRewrite],
-        context: SpeculationContext,
-        deadline: Deadline,
-        stats,
-        push: PushFn,
-    ) -> None:
-        if len(candidates) < self.min_batch:
-            SerialScheduler.process_pop(
-                self, current, candidates, context, deadline, stats, push
-            )
-            return
+    _static_prune(current, candidates, context, stats)
+    _rank_order(candidates, context)
+    max_per_span = context.config.max_rewrites_per_span
+    per_span: dict[tuple, int] = {}
+    for candidate in candidates:
         if deadline.expired():
             stats.timed_out = True
-            return
-        _static_prune(current, candidates, context, stats)
-        _rank_order(candidates, context)
-        max_per_span = context.config.max_rewrites_per_span
-        results, clipped, executed = self._validate_waves(
-            current, candidates, context, deadline, max_per_span
-        )
-        stats.validations += executed
-        if clipped:
-            stats.timed_out = True
-
-        # deterministic rank-order merge: cap accounting and pushes see
-        # candidates in exactly the serial loop's order, so the pushed
-        # tuples (and through them the synthesized programs) are
-        # byte-identical to the serial schedule
-        per_span: dict[tuple, int] = {}
-        for candidate, rewritten in zip(candidates, results):
-            if rewritten is None:
-                continue
-            span_key = (candidate.start, candidate.end)
-            if per_span.get(span_key, 0) >= max_per_span:
-                continue
+            break
+        span_key = (candidate.start, candidate.end)
+        if per_span.get(span_key, 0) >= max_per_span:
+            continue
+        stats.validations += 1
+        rewritten = validate(candidate, current, context)
+        if rewritten is not None:
             per_span[span_key] = per_span.get(span_key, 0) + 1
             stats.validated += 1
             push(rewritten)
-
-    def _validate_waves(
-        self,
-        current: RewriteTuple,
-        candidates: list[SRewrite],
-        context: SpeculationContext,
-        deadline: Deadline,
-        max_per_span: int,
-        sink=None,
-    ) -> tuple[list, bool, int]:
-        """Validate cap-eligible candidates; results by candidate index.
-
-        The second element reports whether the deadline clipped the
-        wave loop before every eligible candidate was dispatched; the
-        third counts the engine validations actually executed (the
-        number the caller adds to ``stats.validations``).
-
-        Spans are worked head-first: a wave takes, per span still in
-        play, the next ``cap - successes`` candidates scaled by a
-        doubling factor (sparse-success spans converge in O(log n)
-        waves), and a span retires once its successes reach the cap —
-        the candidates never taken are exactly the ones the serial loop
-        would have skipped.
-
-        ``sink`` overrides where joined worker counters are folded
-        (default: straight into the engine's session totals).  The
-        pipelined scheduler passes its drain task's private counter
-        merge here, so the session totals are only ever touched by the
-        synthesizer's coordinating thread.
-        """
-        engine = context.engine
-        absorb = engine.absorb_counters if sink is None else sink
-        trackers = dom_index.current_trackers()
-        # captured once so pool threads — which do not inherit the
-        # submitting thread's contextvars — still stitch their spans
-        # under the request's trace
-        trace_ctx = obs_context.current()
-
-        def run_chunk(chunk: Sequence[tuple[int, SRewrite]]):
-            # workers re-check the deadline between candidates, so a
-            # wave overruns the per-call budget by at most one validate
-            # per worker — the serial loop's overrun, times the pool
-            with dom_index.adopt_trackers(trackers), obs_tracing.span(
-                "validate_chunk", ctx=trace_ctx, size=len(chunk)
-            ):
-                with engine.worker_counters() as counters:
-                    validated = []
-                    for index, item in chunk:
-                        if deadline.expired():
-                            break
-                        validated.append((index, validate(item, current, context)))
-                    return validated, counters, len(validated) < len(chunk)
-
-        spans: dict[tuple, list[tuple[int, SRewrite]]] = {}
-        for index, candidate in enumerate(candidates):
-            spans.setdefault((candidate.start, candidate.end), []).append(
-                (index, candidate)
-            )
-        position = {span: 0 for span in spans}
-        successes = {span: 0 for span in spans}
-        results: list = [None] * len(candidates)
-
-        def recount_successes() -> None:
-            # settle per-span accounting against the merged results —
-            # run after *every* wave join, clipped ones included, so a
-            # resumed wave loop can never re-take (and thereby
-            # double-validate) candidates a merged result already
-            # settled: stale `successes` would make `want` overshoot
-            for span, members in spans.items():
-                confirmed = 0
-                for index, _ in members[: position[span]]:
-                    if results[index] is not None:
-                        confirmed += 1
-                        if confirmed >= max_per_span:
-                            break
-                successes[span] = confirmed
-
-        pool = self._executor()
-        factor = 1
-        clipped = False
-        executed = 0
-        wave = 0
-        while True:
-            if deadline.expired():
-                # checked before the batch is carved so `position` never
-                # advances past candidates that were never dispatched
-                clipped = True
-                break
-            batch: list[tuple[int, SRewrite]] = []
-            for span, members in spans.items():
-                want = max_per_span - successes[span]
-                if want <= 0:
-                    continue
-                start = position[span]
-                take = members[start : start + want * factor]
-                position[span] = start + len(take)
-                batch.extend(take)
-            if not batch:
-                break
-            wave += 1
-            stride = min(self.workers, len(batch))
-            with obs_tracing.span(
-                "validate_wave", ctx=trace_ctx, wave=wave, batch=len(batch)
-            ):
-                futures = [
-                    pool.submit(run_chunk, batch[offset::stride])
-                    for offset in range(stride)
-                ]
-                wave_clipped = False
-                for future in futures:
-                    chunk_results, counters, chunk_clipped = future.result()
-                    executed += len(chunk_results)
-                    for index, rewritten in chunk_results:
-                        results[index] = rewritten
-                    absorb(counters)
-                    wave_clipped = wave_clipped or chunk_clipped
-            recount_successes()
-            if wave_clipped:
-                clipped = True
-                break
-            factor *= 2
-        return results, clipped, executed
-
-
-class PipelineScheduler(PoolScheduler):
-    """Producer/consumer pipeline across worklist pops.
-
-    :meth:`submit_pop` ranks the candidate list on the coordinating
-    thread (the rank memos are not thread-safe) and hands the whole
-    drain — validation, cap accounting, stats, pushes — to a dedicated
-    single-thread *merge* executor, returning a future.  The
-    synthesizer overlaps speculation of the predicted next pop with
-    that drain, then joins via :meth:`drain_pop` before committing the
-    next pop.
-
-    Byte-identity with :class:`SerialScheduler` survives the overlap
-    because nothing order-dependent moved: candidates are consumed in
-    the same rank order, pushes happen before the next pop is chosen
-    (the join is a barrier per pop), and the overlapped speculation is a
-    pure function of the tuple it speculates on.  With ``workers >= 2``
-    the drain thread dispatches validation waves to the worker pool
-    (one extra hand-off, same wave machinery); below that it validates
-    inline.
-
-    Engine-counter discipline: the drain task runs inside its own
-    :meth:`ExecutionEngine.worker_counters` scope and wave joins fold
-    into that scope (the ``sink`` parameter of ``_validate_waves``), so
-    the session totals are only ever mutated by the coordinating thread
-    — at :meth:`drain_pop`, after the future resolves.
-    """
-
-    def __init__(self, workers: int = 0, min_batch: Optional[int] = None) -> None:
-        # deliberately not PoolScheduler.__init__: the pipeline is
-        # useful with zero validation workers (inline drain validation)
-        self.workers = max(0, workers)
-        self.min_batch = max(2 * self.workers, 8) if min_batch is None else min_batch
-        self._pool = None
-        self._merge: Optional[ThreadPoolExecutor] = None
-
-    def _merger(self) -> ThreadPoolExecutor:
-        if self._merge is None:
-            self._merge = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-pipeline"
-            )
-        return self._merge
-
-    def close(self) -> None:
-        if self._merge is not None:
-            self._merge.shutdown(wait=True)
-            self._merge = None
-        PoolScheduler.close(self)
-
-    # ------------------------------------------------------------------
-    def submit_pop(
-        self,
-        current: RewriteTuple,
-        candidates: list[SRewrite],
-        context: SpeculationContext,
-        deadline: Deadline,
-        stats,
-        push: PushFn,
-    ):
-        """Start draining one pop; returns a future for :meth:`drain_pop`."""
-        _static_prune(current, candidates, context, stats)
-        _rank_order(candidates, context)
-        engine = context.engine
-        trackers = dom_index.current_trackers()
-        max_per_span = context.config.max_rewrites_per_span
-        use_pool = self.workers >= 2 and len(candidates) >= self.min_batch
-        # the merge executor thread does not inherit contextvars: carry
-        # the request's trace context into the drain explicitly
-        trace_ctx = obs_context.current()
-
-        def drain():
-            started = time.perf_counter()
-            with obs_context.use(trace_ctx), dom_index.adopt_trackers(trackers):
-                with obs_tracing.span(
-                    "drain_pop", candidates=len(candidates), pooled=use_pool
-                ), engine.worker_counters() as counters:
-                    if use_pool:
-                        results, clipped, executed = self._validate_waves(
-                            current,
-                            candidates,
-                            context,
-                            deadline,
-                            max_per_span,
-                            sink=counters.merge,
-                        )
-                        stats.validations += executed
-                        if clipped:
-                            stats.timed_out = True
-                        per_span: dict[tuple, int] = {}
-                        for candidate, rewritten in zip(candidates, results):
-                            if rewritten is None:
-                                continue
-                            span_key = (candidate.start, candidate.end)
-                            if per_span.get(span_key, 0) >= max_per_span:
-                                continue
-                            per_span[span_key] = per_span.get(span_key, 0) + 1
-                            stats.validated += 1
-                            push(rewritten)
-                    else:
-                        self._drain_serial(
-                            current, candidates, context, deadline,
-                            max_per_span, stats, push,
-                        )
-            return counters, time.perf_counter() - started
-
-        return self._merger().submit(drain)
-
-    @staticmethod
-    def _drain_serial(
-        current, candidates, context, deadline, max_per_span, stats, push
-    ) -> None:
-        # SerialScheduler's loop minus the (already done) ranking — the
-        # rank memos must never be touched off the coordinating thread
-        per_span: dict[tuple, int] = {}
-        for candidate in candidates:
-            if deadline.expired():
-                stats.timed_out = True
-                break
-            span_key = (candidate.start, candidate.end)
-            if per_span.get(span_key, 0) >= max_per_span:
-                continue
-            stats.validations += 1
-            rewritten = validate(candidate, current, context)
-            if rewritten is not None:
-                per_span[span_key] = per_span.get(span_key, 0) + 1
-                stats.validated += 1
-                push(rewritten)
-
-    def drain_pop(self, handle, context: SpeculationContext, stats) -> None:
-        """Join one pop's drain: absorb its counters, book its time."""
-        counters, seconds = handle.result()
-        context.engine.absorb_counters(counters)
-        stats.validate_s += seconds
-
-    def process_pop(
-        self,
-        current: RewriteTuple,
-        candidates: list[SRewrite],
-        context: SpeculationContext,
-        deadline: Deadline,
-        stats,
-        push: PushFn,
-    ) -> None:
-        """Synchronous fallback: submit and immediately join (no overlap)."""
-        self.drain_pop(
-            self.submit_pop(current, candidates, context, deadline, stats, push),
-            context,
-            stats,
-        )
-
-
-def scheduler_for(workers: int) -> ValidationScheduler:
-    """The scheduler implementing a resolved ``validation_workers`` count."""
-    if workers > 1:
-        return PoolScheduler(workers)
-    return SerialScheduler()

@@ -15,9 +15,7 @@ installing it would break invariant I2.
 :func:`validate` is a *pure* function of ``(candidate, tuple_, ctx)``:
 it never mutates the tuple, the context, or any synthesis state — its
 only shared touch-point is the context's execution engine, whose cache
-fills are semantics-neutral.  The validation schedulers
-(:mod:`repro.synth.scheduler`) rely on this to run many calls
-concurrently and merge results in rank order.
+fills are semantics-neutral.
 """
 
 from __future__ import annotations

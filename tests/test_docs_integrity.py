@@ -84,3 +84,12 @@ class TestReadme:
         ) + "".join(path.read_text() for path in (ROOT / "benchmarks").glob("*.py"))
         for knob in knobs:
             assert knob in source, f"README names {knob} but nothing reads it"
+
+    def test_env_knobs_read_by_the_code_are_documented(self):
+        # every REPRO_* name under src/ must have a README row
+        documented = set(re.findall(r"REPRO_\w+", README))
+        for path in (ROOT / "src").rglob("*.py"):
+            for knob in set(re.findall(r"REPRO_\w+", path.read_text())):
+                assert knob in documented, (
+                    f"{path.relative_to(ROOT)} reads {knob}, which README does not document"
+                )

@@ -102,7 +102,6 @@ class TestRoundTrip:
         direct = Synthesizer(EMPTY_DATA, serial_validation_config())
         for cut in range(1, len(actions) + 1):
             expected = direct.synthesize(actions[:cut], snapshots[: cut + 1])
-        direct.close()
         assert served == [format_program(p) for p in expected.programs]
         accepted = service.accept(sid, 0)
         assert accepted.program == served[0]

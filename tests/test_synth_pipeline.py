@@ -1,140 +1,44 @@
-"""Pipelined scheduling + resumable loop execution (PR: streaming latency).
+"""Resumable loop execution and per-call phase timing.
 
-Three properties pinned here:
-
-1. **Pipeline parity** — :class:`PipelineScheduler` must synthesize
-   byte-identical ranked output to :class:`SerialScheduler`: the
-   per-pop drain barrier means overlap changes the wall clock, never
-   the schedule's observable order.  Pinned on a real benchmark sweep
-   and property-based over randomized traces, at zero workers (inline
-   drain) and with the wave pool engaged.
-
-2. **Resumable-loop correctness** — continuation entries are a pure
+1. **Resumable-loop correctness** — continuation entries are a pure
    optimization: a session with ``resumable_loops`` on must produce
    exactly the output of the same session with it off, while actually
    taking resume hits; and the engine-level stitched result must equal
    a from-scratch execution on every growing window.
 
-3. **Deadline-clip accounting** — a deadline firing mid-wave must
-   never let the wave loop re-take settled candidates: no candidate is
-   validated twice and ``stats.validated`` equals the pushes applied.
+2. **Phase times** — speculation, validation and store extension run
+   one after another, so their recorded times sum to at most the
+   call's wall clock.
 """
 
-import types
 from dataclasses import replace
 
-from hypothesis import given, settings
-
-from repro.benchmarks.suite import benchmark_by_id
 from repro.lang import EMPTY_DATA
 from repro.lang.ast import canonical_program
 from repro.semantics import evaluator
 from repro.semantics.trace import DOMTrace
 from repro.engine.engine import ExecutionEngine
-from repro.synth import scheduler as scheduler_module
-from repro.synth.config import (
-    DEFAULT_CONFIG,
-    pipeline_config,
-    resolved_pipeline,
-    serial_validation_config,
-)
-from repro.synth.scheduler import (
-    PipelineScheduler,
-    PoolScheduler,
-    SerialScheduler,
-)
+from repro.synth.config import DEFAULT_CONFIG, serial_validation_config
 from repro.synth.synthesizer import Synthesizer
 
 from helpers import cards_page, scrape_cards_trace
-from test_synth_scheduler import TIMEOUT, _session_outputs, random_traces
+
+TIMEOUT = 30.0
 
 
-def _pipeline_synthesizer(data, workers: int = 0) -> Synthesizer:
-    """A pipelined synthesizer forced to exercise the wave pool."""
-    synthesizer = Synthesizer(data, pipeline_config(workers=workers))
-    if workers >= 2:
-        synthesizer._scheduler = PipelineScheduler(workers, min_batch=2)
-    return synthesizer
-
-
-class TestPipelineConfig:
-    def test_pipeline_accepts_zero_workers(self):
-        scheduler = PipelineScheduler(0)
-        assert scheduler.workers == 0
-        scheduler.close()
-        scheduler.close()  # idempotent
-
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PIPELINE", "1")
-        assert resolved_pipeline(DEFAULT_CONFIG)
-        # an explicit config value beats the environment
-        assert not resolved_pipeline(serial_validation_config())
-        monkeypatch.delenv("REPRO_PIPELINE")
-        assert not resolved_pipeline(DEFAULT_CONFIG)
-
-    def test_synthesizer_wires_the_env_pipeline(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PIPELINE", "1")
-        synthesizer = Synthesizer(EMPTY_DATA)
-        try:
-            assert isinstance(synthesizer.scheduler, PipelineScheduler)
-        finally:
-            synthesizer.close()
-
-    def test_serial_config_pins_pipeline_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PIPELINE", "1")
-        synthesizer = Synthesizer(EMPTY_DATA, serial_validation_config())
-        try:
-            assert isinstance(synthesizer.scheduler, SerialScheduler)
-        finally:
-            synthesizer.close()
-
-
-class TestPipelineSerialParity:
-    def test_benchmark_sweep(self):
-        """Every prefix of a real benchmark: identical ranked output."""
-        recording = benchmark_by_id("b12").record()
-        length = min(recording.length - 1, 16)
-        actions, snapshots = recording.prefix(length)
-        serial = Synthesizer(benchmark_by_id("b12").data, serial_validation_config())
-        inline = _pipeline_synthesizer(benchmark_by_id("b12").data, workers=0)
-        pooled = _pipeline_synthesizer(benchmark_by_id("b12").data, workers=4)
-        try:
-            expected = _session_outputs(serial, actions, snapshots)
-            assert _session_outputs(inline, actions, snapshots) == expected
-            assert _session_outputs(pooled, actions, snapshots) == expected
-        finally:
-            serial.close()
-            inline.close()
-            pooled.close()
-
-    @given(random_traces())
-    @settings(max_examples=15, deadline=None)
-    def test_pipeline_equals_serial_on_randomized_traces(self, trace):
-        actions, snapshots = trace
-        serial = Synthesizer(EMPTY_DATA, serial_validation_config())
-        pipelined = _pipeline_synthesizer(EMPTY_DATA, workers=4)
-        try:
-            assert _session_outputs(serial, actions, snapshots) == _session_outputs(
-                pipelined, actions, snapshots
-            )
-        finally:
-            serial.close()
-            pipelined.close()
-
+class TestPhaseTimes:
     def test_phase_times_are_recorded(self):
         dom = cards_page(5)
         actions, snapshots = scrape_cards_trace(dom, 4)
-        pipelined = _pipeline_synthesizer(EMPTY_DATA, workers=0)
-        try:
-            for cut in range(1, len(actions) + 1):
-                stats = pipelined.synthesize(
-                    actions[:cut], snapshots[: cut + 1], timeout=TIMEOUT
-                ).stats
-            assert stats.speculate_s > 0.0
-            assert stats.validate_s >= 0.0
-            assert stats.extend_s >= 0.0
-        finally:
-            pipelined.close()
+        synthesizer = Synthesizer(EMPTY_DATA, DEFAULT_CONFIG)
+        for cut in range(1, len(actions) + 1):
+            stats = synthesizer.synthesize(
+                actions[:cut], snapshots[: cut + 1], timeout=TIMEOUT
+            ).stats
+            assert stats.speculate_s + stats.validate_s + stats.extend_s <= stats.elapsed
+        assert stats.speculate_s > 0.0
+        assert stats.validate_s >= 0.0
+        assert stats.extend_s >= 0.0
 
 
 class TestResumableLoops:
@@ -146,28 +50,24 @@ class TestResumableLoops:
         baseline = Synthesizer(
             EMPTY_DATA, replace(DEFAULT_CONFIG, resumable_loops=False)
         )
-        try:
-            resume_total = 0
-            for cut in range(1, len(actions) + 1):
-                grown = resuming.synthesize(
-                    actions[:cut], snapshots[: cut + 1], timeout=TIMEOUT
-                )
-                flat = baseline.synthesize(
-                    actions[:cut], snapshots[: cut + 1], timeout=TIMEOUT
-                )
-                resume_total += grown.stats.cache_resume_hits
-                assert flat.stats.cache_resume_hits == 0
-                assert [canonical_program(p) for p in grown.programs] == [
-                    canonical_program(p) for p in flat.programs
-                ]
-                assert [str(a) for a in grown.predictions] == [
-                    str(a) for a in flat.predictions
-                ]
-            # the optimization actually engaged on this loop-heavy trace
-            assert resume_total > 0
-        finally:
-            resuming.close()
-            baseline.close()
+        resume_total = 0
+        for cut in range(1, len(actions) + 1):
+            grown = resuming.synthesize(
+                actions[:cut], snapshots[: cut + 1], timeout=TIMEOUT
+            )
+            flat = baseline.synthesize(
+                actions[:cut], snapshots[: cut + 1], timeout=TIMEOUT
+            )
+            resume_total += grown.stats.cache_resume_hits
+            assert flat.stats.cache_resume_hits == 0
+            assert [canonical_program(p) for p in grown.programs] == [
+                canonical_program(p) for p in flat.programs
+            ]
+            assert [str(a) for a in grown.predictions] == [
+                str(a) for a in flat.predictions
+            ]
+        # the optimization actually engaged on this loop-heavy trace
+        assert resume_total > 0
 
     def test_growing_session_matches_from_scratch(self):
         """One-action-at-a-time growth vs a fresh synthesizer per cut.
@@ -179,31 +79,26 @@ class TestResumableLoops:
         dom = cards_page(6)
         actions, snapshots = scrape_cards_trace(dom, 5)
         session = Synthesizer(EMPTY_DATA, DEFAULT_CONFIG)
-        try:
-            resume_total = 0
-            for cut in range(1, len(actions) + 1):
-                grown = session.synthesize(
-                    actions[:cut], snapshots[: cut + 1], timeout=TIMEOUT
+        resume_total = 0
+        for cut in range(1, len(actions) + 1):
+            grown = session.synthesize(
+                actions[:cut], snapshots[: cut + 1], timeout=TIMEOUT
+            )
+            resume_total += grown.stats.cache_resume_hits
+            scratch = Synthesizer(EMPTY_DATA, DEFAULT_CONFIG).synthesize(
+                actions[:cut], snapshots[: cut + 1], timeout=TIMEOUT
+            )
+            grown_best = grown.best_program
+            scratch_best = scratch.best_program
+            assert (grown_best is None) == (scratch_best is None)
+            if grown_best is not None:
+                assert canonical_program(grown_best) == canonical_program(
+                    scratch_best
                 )
-                resume_total += grown.stats.cache_resume_hits
-                scratch_synth = Synthesizer(EMPTY_DATA, DEFAULT_CONFIG)
-                scratch = scratch_synth.synthesize(
-                    actions[:cut], snapshots[: cut + 1], timeout=TIMEOUT
-                )
-                scratch_synth.close()
-                grown_best = grown.best_program
-                scratch_best = scratch.best_program
-                assert (grown_best is None) == (scratch_best is None)
-                if grown_best is not None:
-                    assert canonical_program(grown_best) == canonical_program(
-                        scratch_best
-                    )
-                assert [str(a) for a in grown.predictions] == [
-                    str(a) for a in scratch.predictions
-                ]
-            assert resume_total > 0
-        finally:
-            session.close()
+            assert [str(a) for a in grown.predictions] == [
+                str(a) for a in scratch.predictions
+            ]
+        assert resume_total > 0
 
     def test_engine_resume_matches_fresh_execution(self):
         """The stitched resume equals from-scratch on every window."""
@@ -211,7 +106,6 @@ class TestResumableLoops:
         actions, snapshots = scrape_cards_trace(dom, 5)
         synthesizer = Synthesizer(EMPTY_DATA, serial_validation_config())
         program = synthesizer.synthesize(actions, snapshots, timeout=TIMEOUT).best_program
-        synthesizer.close()
         assert program is not None
         statement = program.statements[0]
 
@@ -225,77 +119,3 @@ class TestResumableLoops:
             assert resumed.actions == fresh.actions
             assert resumed.env.fingerprint() == fresh.env.fingerprint()
         assert engine.counters().resume_hits > 0
-
-
-class _CountdownDeadline:
-    """A deadline that reports expired after ``allowed`` checks."""
-
-    def __init__(self, allowed: int) -> None:
-        self.allowed = allowed
-
-    def expired(self) -> bool:
-        self.allowed -= 1
-        return self.allowed < 0
-
-
-class _CaptureScheduler(SerialScheduler):
-    """Serial schedule that records every pop it processes."""
-
-    def __init__(self) -> None:
-        self.pops = []
-
-    def process_pop(self, current, candidates, context, deadline, stats, push):
-        self.pops.append((current, list(candidates), context))
-        super().process_pop(current, candidates, context, deadline, stats, push)
-
-
-class TestDeadlineClipAccounting:
-    def test_clipped_waves_never_double_validate(self, monkeypatch):
-        """A mid-wave deadline must not re-take settled candidates.
-
-        Replays the largest real candidate list through the pool under
-        a deadline that clips at every possible position: stale span
-        accounting would re-dispatch (and double-count) candidates a
-        previous wave already settled.
-        """
-        dom = cards_page(6)
-        actions, snapshots = scrape_cards_trace(dom, 5)
-        capture = _CaptureScheduler()
-        synthesizer = Synthesizer(EMPTY_DATA, serial_validation_config())
-        synthesizer._scheduler = capture
-        for cut in range(1, len(actions) + 1):
-            synthesizer.synthesize(actions[:cut], snapshots[: cut + 1], timeout=TIMEOUT)
-        current, candidates, context = max(capture.pops, key=lambda p: len(p[1]))
-        assert len(candidates) >= 4
-
-        real_validate = scheduler_module.validate
-        for allowed in range(0, 2 * len(candidates) + 4):
-            calls: dict[int, int] = {}
-
-            def counting_validate(candidate, tuple_, ctx):
-                calls[id(candidate)] = calls.get(id(candidate), 0) + 1
-                return real_validate(candidate, tuple_, ctx)
-
-            monkeypatch.setattr(scheduler_module, "validate", counting_validate)
-            pool = PoolScheduler(2, min_batch=2)
-            stats = types.SimpleNamespace(
-                validated=0, validations=0, pruned=0, timed_out=False
-            )
-            pushes = []
-            try:
-                pool.process_pop(
-                    current,
-                    list(candidates),
-                    context,
-                    _CountdownDeadline(allowed),
-                    stats,
-                    pushes.append,
-                )
-            finally:
-                pool.close()
-                monkeypatch.setattr(scheduler_module, "validate", real_validate)
-            assert all(count == 1 for count in calls.values()), (
-                f"candidate validated twice with deadline at {allowed}"
-            )
-            assert stats.validated == len(pushes)
-        synthesizer.close()
