@@ -27,13 +27,7 @@ from repro.engine.cache import (
     reset_process_cache,
 )
 from repro.engine.engine import EngineCounters, ExecutionEngine
-from repro.engine.index import (
-    SnapshotIndex,
-    build_count,
-    dom_indexes_enabled,
-    index_for,
-    set_dom_indexes,
-)
+from repro.engine.index import SnapshotIndex, build_count, index_for
 from repro.engine.keys import (
     action_digest,
     data_key,
@@ -54,11 +48,9 @@ __all__ = [
     "build_count",
     "data_key",
     "digest_int",
-    "dom_indexes_enabled",
     "index_for",
     "process_cache",
     "reset_process_cache",
-    "set_dom_indexes",
     "snapshot_key",
     "stable_digest",
 ]

@@ -188,7 +188,7 @@ class ExecutionEngine:
 
         shared: Optional[SharedExecutionCache] = None
         backend = None
-        if config.use_execution_cache and config.max_cache_entries > 0:
+        if config.max_cache_entries > 0:
             backend_name = resolved_cache_backend(config)
             backend = resolve_backend(backend_name)
             if resolved_shared_cache(config):
@@ -201,7 +201,6 @@ class ExecutionEngine:
         return cls(
             data,
             cache_size=config.max_cache_entries,
-            use_cache=config.use_execution_cache,
             shared_cache=shared,
             backend=backend,
         )

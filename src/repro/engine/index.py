@@ -28,15 +28,14 @@ On top of the point lookups, the index carries the *bucket enumeration*
 layer the selector search runs on: memoized raw paths, per-node
 predicate families, per-parent child-rank maps, and per-element
 decomposition plans (every ``prefix / step(φ, k)`` reading of one
-element, in the exact order the legacy ancestor walk emits them).  See
+element, in the order the reference ancestor walk emits them).  See
 :mod:`repro.synth.alternatives` for the consumers.
 
 Indexes attach to the snapshot root (``DOMNode._snapshot_index``), the
 same lifetime discipline as the resolve memo; :func:`build_count` feeds
 the engine's telemetry and :func:`track_builds` scopes build attribution
 to one caller (thread-local, so concurrent synthesizers do not steal
-each other's builds).  ``REPRO_DOM_INDEX=0`` (or
-:func:`set_dom_indexes`) disables the machinery for A/B measurements.
+each other's builds).
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ UNSUPPORTED = object()
 #: overrides.  8 MiB default: roomy for real pages, bounded for servers.
 _ENUM_MEMO_BYTES = int(os.environ.get("REPRO_ENUM_MEMO_BYTES", str(8 << 20)))
 
-_ENABLED = os.environ.get("REPRO_DOM_INDEX", "1") != "0"
 _BUILDS = 0
 _TRACKERS = threading.local()
 #: Serializes lazy index construction: without it two sessions'
@@ -78,19 +76,6 @@ _TRACKERS = threading.local()
 #: build counters would double-count).  ``index_for`` only takes the
 #: lock on the cold path.
 _BUILD_LOCK = threading.Lock()
-
-
-def set_dom_indexes(enabled: bool) -> bool:
-    """Globally enable/disable index use; returns the previous setting."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = enabled
-    return previous
-
-
-def dom_indexes_enabled() -> bool:
-    """Whether snapshot indexes are consulted at all."""
-    return _ENABLED
 
 
 def build_count() -> int:
@@ -406,8 +391,7 @@ class SnapshotIndex:
     def raw_steps_between(self, base: DOMNode, target: DOMNode) -> tuple[Step, ...]:
         """The child-axis steps from ``base`` down to ``target``.
 
-        With both raw paths memoized, the chain is a tuple slice — the
-        ancestor walk of the legacy ``_raw_chain`` disappears.
+        With both raw paths memoized, the chain is a tuple slice.
         """
         return self.raw_path_of(target).steps[len(self.raw_path_of(base).steps):]
 
@@ -463,12 +447,13 @@ class SnapshotIndex:
     ) -> tuple:
         """Every ``(prefix, axis, pred, index)`` element-step reading.
 
-        This is the per-element invariant part of a decomposition — what
-        the legacy ancestor walk recomputes per suffix — in the exact
-        order that walk emits: child axis from the parent prefix, then
-        descendant axis anchored at the document, then at the parent.
-        Cached per element, so it is shared across every target that has
-        ``element`` on its ancestor chain and across search objects.
+        This is the per-element invariant part of a decomposition, in
+        the order the reference ancestor walk emits (see
+        ``tests/enumeration_reference.py``): child axis from the parent
+        prefix, then descendant axis anchored at the document, then at
+        the parent.  Cached per element, so it is shared across every
+        target that has ``element`` on its ancestor chain and across
+        search objects.
         """
         key = (id(element), use_alternatives, token_predicates)
         plan = self._plans.get(key)
@@ -482,6 +467,10 @@ class SnapshotIndex:
                 if index is not None:
                     entries.append((parent_prefix, CHILD, pred, index))
             if use_alternatives:
+                # only the document and the parent anchor descendant
+                # steps: the paper's programs use Dscts(ε, φ) or the
+                # parent, and every extra anchor multiplies the
+                # candidate space
                 anchors: list[Optional[DOMNode]] = [None]
                 if parent is not None:
                     anchors.append(parent)
@@ -502,7 +491,7 @@ def index_for(root: DOMNode) -> Optional[SnapshotIndex]:
 
     Mutable snapshots are never indexed: the buckets would go stale.
     """
-    if not _ENABLED or not root.frozen:
+    if not root.frozen:
         return None
     index = root._snapshot_index
     if index is None:

@@ -122,8 +122,6 @@ class BenchmarkResult:
     cache_decode_bytes: int = 0
     cache_backend: str = "memory"
     index_builds: int = 0
-    enum_indexed: int = 0
-    enum_fallback: int = 0
 
     @property
     def accuracy(self) -> float:
@@ -179,8 +177,6 @@ def evaluate_benchmark(
         result.cache_decode_bytes += synthesis.stats.cache_decode_bytes
         result.cache_backend = synthesis.stats.cache_backend
         result.index_builds += synthesis.stats.index_builds
-        result.enum_indexed += synthesis.stats.enum_indexed
-        result.enum_fallback += synthesis.stats.enum_fallback
         result.max_programs = max(result.max_programs, len(synthesis.programs))
         result.max_predictions = max(
             result.max_predictions, len(synthesis.predictions)
@@ -339,14 +335,6 @@ class Q1Report:
                     f"  decoded-entry cache hits (store read + decode "
                     f"skipped): {decode}, {decode_bytes} payload bytes"
                 )
-        indexed = sum(result.enum_indexed for result in results)
-        fallback = sum(result.enum_fallback for result in results)
-        if indexed or fallback:
-            lines.append(
-                f"  index-backed enumeration share: "
-                f"{fmt_pct(indexed / (indexed + fallback))} "
-                f"({indexed} indexed / {fallback} ancestor-walk)"
-            )
         return "\n".join(lines)
 
 

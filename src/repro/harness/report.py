@@ -94,8 +94,6 @@ def render_synthesis_stats(stats) -> str:
         ["interned snapshots", stats.interned_snapshots],
         ["interned bytes", fmt_bytes(stats.interned_bytes)],
         ["DOM index builds", stats.index_builds],
-        ["indexed enumerations", stats.enum_indexed],
-        ["fallback enumerations", stats.enum_fallback],
         # phase times are wall-clock per phase; the phases run one
         # after another, so their sum is at most ``elapsed``
         ["speculate time", fmt_ms(stats.speculate_s)],

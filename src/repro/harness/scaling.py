@@ -53,8 +53,6 @@ class ScalingSeries:
     warm_hits: int = 0
     cache_bytes: int = 0
     index_builds: int = 0
-    enum_indexed: int = 0
-    enum_fallback: int = 0
     programs: list[tuple[str, ...]] = field(default_factory=list)
 
     @property
@@ -120,8 +118,6 @@ def run_scaling(
             current.warm_hits += result.stats.cache_warm_hits
             current.cache_bytes = result.stats.cache_bytes  # end-of-run gauge
             current.index_builds += result.stats.index_builds
-            current.enum_indexed += result.stats.enum_indexed
-            current.enum_fallback += result.stats.enum_fallback
             if collect_programs:
                 current.programs.append(
                     tuple(format_program(program) for program in result.programs)

@@ -59,9 +59,6 @@ from repro.protocol.session import (
 )
 from repro.synth.config import DEFAULT_CONFIG, SynthesisConfig
 
-#: Deprecated alias — the session core now lives in the protocol layer.
-DemoSession = Session
-
 #: How many departed (closed/evicted/migrated) session ids the manager
 #: remembers so a late request gets a 409-shaped "closed", not a 404.
 _DEPARTED_LIMIT = 4096

@@ -3,7 +3,6 @@
 from repro.synth.config import (
     DEFAULT_CONFIG,
     SynthesisConfig,
-    no_execution_cache_config,
     no_incremental_config,
     no_selector_config,
     no_shape_gates_config,
@@ -55,7 +54,6 @@ from repro.synth.synthesizer import (
 __all__ = [
     "DEFAULT_CONFIG",
     "SynthesisConfig",
-    "no_execution_cache_config",
     "no_incremental_config",
     "no_selector_config",
     "no_shape_gates_config",

@@ -16,17 +16,14 @@ with bounds, the alternative ways a node can be addressed:
 With ``use_alternatives=False`` every function degenerates to the raw
 child-axis forms only, which is exactly Table 1's "No selector" ablation.
 
-Enumeration runs in one of two modes.  With ``use_index_enumeration``
-(the default, gated by
-:attr:`repro.synth.config.SynthesisConfig.use_index_enumeration`) and a
-frozen snapshot, candidates are read off the per-snapshot bucket layer
-of :class:`repro.engine.index.SnapshotIndex` — memoized raw paths,
+Every query reads a frozen snapshot's bucket layer
+(:class:`repro.engine.index.SnapshotIndex`): memoized raw paths,
 predicate families, child-rank maps, and per-element decomposition
-plans — instead of re-walking ancestor chains and sibling lists per
-query.  The legacy ancestor-walk path is kept verbatim (flag off, or
-unindexed snapshots) and both paths produce identical candidate lists
-in identical order; ``tests/test_synth_index_enumeration.py`` holds the
-parity property tests.
+plans, so no query re-walks ancestor chains or sibling lists.
+Enumerating on a snapshot that is not a frozen root raises
+``ValueError``.  ``tests/enumeration_reference.py`` keeps the
+ancestor-walk enumeration as the test oracle the parity tests compare
+against.
 """
 
 from __future__ import annotations
@@ -37,22 +34,16 @@ from repro.dom.node import DOMNode
 from repro.dom.xpath import (
     CHILD,
     DESC,
-    EPSILON,
     ConcreteSelector,
     Predicate,
     Step,
-    index_among_children,
     index_among_descendants,
     predicate_family,
     raw_path,
     resolve,
 )
-from repro.engine.index import (
-    UNSUPPORTED,
-    SnapshotIndex,
-    dom_indexes_enabled,
-    index_for,
-)
+from repro.engine.index import UNSUPPORTED, SnapshotIndex, index_for
+from repro.synth.config import SynthesisConfig
 
 
 @dataclass(frozen=True)
@@ -107,19 +98,11 @@ def node_predicates(
     return predicate_family(node, token_predicates)
 
 
-def _raw_chain(base: DOMNode, target: DOMNode) -> tuple[Step, ...]:
-    """The child-axis tag/index steps from ``base`` down to ``target``."""
-    chain: list[DOMNode] = []
-    node = target
-    while node is not base:
-        chain.append(node)
-        if node.parent is None:
-            raise ValueError("base is not an ancestor of target")
-        node = node.parent
-    chain.reverse()
-    return tuple(
-        Step(CHILD, Predicate(item.tag), item.child_index_by_tag()) for item in chain
-    )
+def _index_of(root: DOMNode) -> SnapshotIndex:
+    """The bucket layer of ``root``, which must be a frozen snapshot root."""
+    if root.parent is not None or not root.frozen:
+        raise ValueError("selector enumeration needs a frozen snapshot root")
+    return index_for(root)
 
 
 def relative_step_candidates(
@@ -128,7 +111,6 @@ def relative_step_candidates(
     use_alternatives: bool = True,
     max_suffix_child_steps: int = 2,
     token_predicates: bool = False,
-    use_index_enumeration: bool = True,
 ) -> list[tuple[Step, ...]]:
     """Bounded step sequences that reach ``target`` from ``base``.
 
@@ -142,21 +124,18 @@ def relative_step_candidates(
     if not (base.is_ancestor_of(target)):
         return []
     root = base.root()
-    index = index_for(root) if use_index_enumeration else None
-    if index is not None and not (index.contains(base) and index.contains(target)):
-        index = None  # foreign nodes: take the ancestor-walk path
-    if index is not None:
-        memo_key = (
-            "rel",
-            id(base),
-            id(target),
-            use_alternatives,
-            max_suffix_child_steps,
-            token_predicates,
-        )
-        cached = index.enum_memo.get(memo_key)
-        if cached is not None:
-            return cached
+    index = _index_of(root)
+    memo_key = (
+        "rel",
+        id(base),
+        id(target),
+        use_alternatives,
+        max_suffix_child_steps,
+        token_predicates,
+    )
+    cached = index.enum_memo.get(memo_key)
+    if cached is not None:
+        return cached
     candidates: list[tuple[Step, ...]] = []
     seen: set[tuple[Step, ...]] = set()
 
@@ -177,29 +156,18 @@ def relative_step_candidates(
             remaining = len(chain_nodes) - 1 - position
             if remaining > max_suffix_child_steps:
                 continue
-            if index is not None:
-                # every chain node sits between base and target, so the
-                # index covers it; predicates_of only yields bucketed
-                # predicates, so rank should never be UNSUPPORTED here —
-                # but a sentinel must never become a step index
-                tail = index.raw_steps_between(mid, target)
-                for pred in index.predicates_of(mid, True, token_predicates):
-                    rank = index.rank(pred, mid, base)
-                    if rank is UNSUPPORTED:  # pragma: no cover - defensive
-                        rank = index_among_descendants(base, mid, pred, root)
-                    if rank is not None:
-                        add((Step(DESC, pred, rank),) + tail)
-                continue
-            tail = _raw_chain(mid, target)
-            for pred in node_predicates(mid, True, token_predicates):
-                position_index = index_among_descendants(base, mid, pred, root)
-                if position_index is not None:
-                    add((Step(DESC, pred, position_index),) + tail)
-    if index is not None:
-        add(index.raw_steps_between(base, target))
-        index.enum_memo[memo_key] = candidates
-    else:
-        add(_raw_chain(base, target))
+            # predicates_of only yields bucketed predicates, so rank
+            # should never be UNSUPPORTED here — but a sentinel must
+            # never become a step index
+            tail = index.raw_steps_between(mid, target)
+            for pred in index.predicates_of(mid, True, token_predicates):
+                rank = index.rank(pred, mid, base)
+                if rank is UNSUPPORTED:  # pragma: no cover - defensive
+                    rank = index_among_descendants(base, mid, pred, root)
+                if rank is not None:
+                    add((Step(DESC, pred, rank),) + tail)
+    add(index.raw_steps_between(base, target))
+    index.enum_memo[memo_key] = candidates
     return candidates
 
 
@@ -210,7 +178,6 @@ def decompositions(
     max_suffix_child_steps: int = 2,
     max_results: int = 128,
     token_predicates: bool = False,
-    use_index_enumeration: bool = True,
 ) -> list[Decomposition]:
     """All bounded ``prefix/step/suffix`` readings of ``selector`` on ``dom``.
 
@@ -218,88 +185,19 @@ def decompositions(
     every ancestor including the document (descendant axis).  Prefixes are
     raw paths — generality enters through the predicate, the axis, and the
     suffix, plus later parametrization of the prefix itself.
-    """
-    target = resolve(selector, dom)
-    if target is None:
-        return []
-    index = (
-        index_for(dom)
-        if use_index_enumeration and dom.parent is None
-        else None
-    )
-    if index is not None:
-        return _decompositions_indexed(
-            index,
-            target,
-            use_alternatives,
-            max_suffix_child_steps,
-            max_results,
-            token_predicates,
-        )
-    root = dom
-    results: list[Decomposition] = []
-    element: DOMNode | None = target
-    while element is not None and len(results) < max_results:
-        suffixes = relative_step_candidates(
-            element,
-            target,
-            use_alternatives,
-            max_suffix_child_steps,
-            token_predicates,
-            use_index_enumeration=False,
-        )
-        for suffix in suffixes:
-            preds = node_predicates(element, use_alternatives, token_predicates)
-            # Child axis from the element's parent.
-            parent_prefix = raw_path(element.parent) if element.parent else EPSILON
-            for pred in preds:
-                child_index = index_among_children(element, pred)
-                if child_index is not None:
-                    results.append(
-                        Decomposition(parent_prefix, CHILD, pred, child_index, suffix)
-                    )
-            if use_alternatives:
-                # Descendant axis, anchored at the document and at the
-                # element's parent.  (Intermediate ancestors are possible
-                # anchors too, but the paper's programs use the document —
-                # Dscts(ε, φ) — or the parent, and every extra anchor
-                # multiplies the candidate space.)
-                anchors: list[DOMNode | None] = [None]
-                if element.parent is not None:
-                    anchors.append(element.parent)
-                for anchor in anchors:
-                    anchor_prefix = EPSILON if anchor is None else raw_path(anchor)
-                    for pred in preds:
-                        desc_index = index_among_descendants(anchor, element, pred, root)
-                        if desc_index is not None:
-                            results.append(
-                                Decomposition(anchor_prefix, DESC, pred, desc_index, suffix)
-                            )
-            if len(results) >= max_results:
-                break
-        element = element.parent
-    return results[:max_results]
 
-
-def _decompositions_indexed(
-    index: SnapshotIndex,
-    target: DOMNode,
-    use_alternatives: bool,
-    max_suffix_child_steps: int,
-    max_results: int,
-    token_predicates: bool,
-) -> list[Decomposition]:
-    """Bucket-driven :func:`decompositions` body (identical output).
-
-    The per-element inner work of the ancestor walk — predicate family,
-    parent raw path, child ranks, descendant ranks — is invariant across
-    suffixes and across targets sharing the ancestor, so it is read off
-    the snapshot index's cached *element plan* and only the cross
-    product with the suffixes is materialised here, in the legacy
-    emission order.  Whole results are memoized on the index (they
+    The per-element work — predicate family, parent raw path, child
+    ranks, descendant ranks — is invariant across suffixes and across
+    targets sharing the ancestor, so it is read off the snapshot index's
+    cached *element plan* and only the cross product with the suffixes
+    is materialised here.  Whole results are memoized on the index (they
     depend only on the target node and the bounds), which is what lets
     a second session over the same snapshot enumerate for free.
     """
+    index = _index_of(dom)
+    target = resolve(selector, dom)
+    if target is None:
+        return []
     memo_key = (
         "decomp",
         id(target),
@@ -320,7 +218,6 @@ def _decompositions_indexed(
             use_alternatives,
             max_suffix_child_steps,
             token_predicates,
-            use_index_enumeration=True,
         )
         plan = index.element_plan(element, use_alternatives, token_predicates)
         for suffix in suffixes:
@@ -339,7 +236,6 @@ def alternative_selectors(
     dom: DOMNode,
     use_alternatives: bool = True,
     max_results: int = 24,
-    use_index_enumeration: bool = True,
 ) -> list[ConcreteSelector]:
     """Whole-selector alternatives denoting the same node on ``dom``.
 
@@ -357,9 +253,7 @@ def alternative_selectors(
     seen = {raw, selector}
     if selector != raw:
         results.insert(0, selector)
-    for decomposition in decompositions(
-        selector, dom, use_alternatives=True, use_index_enumeration=use_index_enumeration
-    ):
+    for decomposition in decompositions(selector, dom, use_alternatives=True):
         candidate = decomposition.assemble()
         if candidate in seen:
             continue
@@ -378,7 +272,6 @@ def common_alternatives(
     dom_b: DOMNode,
     use_alternatives: bool = True,
     max_results: int = 8,
-    use_index_enumeration: bool = True,
 ) -> list[ConcreteSelector]:
     """Selectors that address both recorded nodes on their own snapshots.
 
@@ -386,14 +279,8 @@ def common_alternatives(
     "next page" button on *every* page, so candidate selectors must at
     least work for the two exhibited iterations.
     """
-    options_a = alternative_selectors(
-        selector_a, dom_a, use_alternatives, use_index_enumeration=use_index_enumeration
-    )
-    options_b = set(
-        alternative_selectors(
-            selector_b, dom_b, use_alternatives, use_index_enumeration=use_index_enumeration
-        )
-    )
+    options_a = alternative_selectors(selector_a, dom_a, use_alternatives)
+    options_b = set(alternative_selectors(selector_b, dom_b, use_alternatives))
     shared = [candidate for candidate in options_a if candidate in options_b]
     return shared[:max_results]
 
@@ -406,11 +293,6 @@ class SelectorSearch:
     Snapshots are immutable, so caching by ``(selector, id(snapshot))`` is
     sound as long as the snapshots are kept alive — which this object does
     by holding references in its keys' companion sets.
-
-    ``enum_indexed`` / ``enum_fallback`` count the *uncached* enumeration
-    queries by the path that answered them (bucket-driven vs ancestor
-    walk); the synthesizer surfaces per-call deltas through
-    :class:`repro.synth.synthesizer.SynthesisStats`.
     """
 
     def __init__(
@@ -419,48 +301,35 @@ class SelectorSearch:
         max_suffix_child_steps: int = 2,
         max_decompositions: int = 128,
         token_predicates: bool = False,
-        use_index_enumeration: bool = True,
     ) -> None:
         self.use_alternatives = use_alternatives
         self.max_suffix_child_steps = max_suffix_child_steps
         self.max_decompositions = max_decompositions
         self.token_predicates = token_predicates
-        self.use_index_enumeration = use_index_enumeration
-        self.enum_indexed = 0
-        self.enum_fallback = 0
         self._decomp_cache: dict[tuple, list[Decomposition]] = {}
         self._relative_cache: dict[tuple, list[tuple[Step, ...]]] = {}
         self._alternatives_cache: dict[tuple, list[ConcreteSelector]] = {}
         self._pairing_cache: dict[tuple, object] = {}
         self._pins: list = []  # keeps cached DOMs alive so ids stay valid
 
+    @classmethod
+    def for_config(cls, config: SynthesisConfig) -> "SelectorSearch":
+        """A search honouring the config's selector knobs."""
+        return cls(
+            use_alternatives=config.use_alternative_selectors,
+            max_suffix_child_steps=config.max_suffix_child_steps,
+            max_decompositions=config.max_decompositions,
+            token_predicates=config.use_token_predicates,
+        )
+
     def _pin(self, *objects) -> None:
         self._pins.append(objects)
-
-    def _count_enumeration(self, root: DOMNode) -> None:
-        """Classify one uncached query by the path eligible to answer it.
-
-        Mirrors the guards of :func:`index_for` / the raw functions
-        without calling them — classification must not force an index
-        build the query itself would never perform (e.g. a selector that
-        does not resolve).
-        """
-        if (
-            self.use_index_enumeration
-            and root.parent is None
-            and root.frozen
-            and dom_indexes_enabled()
-        ):
-            self.enum_indexed += 1
-        else:
-            self.enum_fallback += 1
 
     def decompositions(self, selector: ConcreteSelector, dom: DOMNode) -> list[Decomposition]:
         """Memoised :func:`decompositions`."""
         key = (selector, id(dom))
         hit = self._decomp_cache.get(key)
         if hit is None:
-            self._count_enumeration(dom)
             hit = decompositions(
                 selector,
                 dom,
@@ -468,7 +337,6 @@ class SelectorSearch:
                 max_suffix_child_steps=self.max_suffix_child_steps,
                 max_results=self.max_decompositions,
                 token_predicates=self.token_predicates,
-                use_index_enumeration=self.use_index_enumeration,
             )
             self._decomp_cache[key] = hit
             self._pin(dom)
@@ -479,14 +347,12 @@ class SelectorSearch:
         key = (id(base), id(target))
         hit = self._relative_cache.get(key)
         if hit is None:
-            self._count_enumeration(base.root())
             hit = relative_step_candidates(
                 base,
                 target,
                 use_alternatives=self.use_alternatives,
                 max_suffix_child_steps=self.max_suffix_child_steps,
                 token_predicates=self.token_predicates,
-                use_index_enumeration=self.use_index_enumeration,
             )
             self._relative_cache[key] = hit
             self._pin(base, target)
@@ -499,13 +365,11 @@ class SelectorSearch:
         key = (selector, id(dom), max_results)
         hit = self._alternatives_cache.get(key)
         if hit is None:
-            self._count_enumeration(dom)
             hit = alternative_selectors(
                 selector,
                 dom,
                 use_alternatives=self.use_alternatives,
                 max_results=max_results,
-                use_index_enumeration=self.use_index_enumeration,
             )
             self._alternatives_cache[key] = hit
             self._pin(dom)

@@ -43,7 +43,7 @@ from repro.lang.ast import (
     fresh_var,
     selector_of,
 )
-from repro.synth.alternatives import SelectorSearch, decompositions
+from repro.synth.alternatives import SelectorSearch
 from repro.synth.config import SynthesisConfig
 
 Accessors = tuple[Union[str, int], ...]
@@ -91,12 +91,7 @@ def anti_unify_selectors(
     call, so results are never shared between spans.
     """
     if search is None:
-        search = SelectorSearch(
-            use_alternatives=config.use_alternative_selectors,
-            max_suffix_child_steps=config.max_suffix_child_steps,
-            max_decompositions=config.max_decompositions,
-            use_index_enumeration=config.use_index_enumeration,
-        )
+        search = SelectorSearch.for_config(config)
     pairings = search.loop_pairings(
         first_sel, first_dom, second_sel, second_dom, config.max_pivot_unifications
     )

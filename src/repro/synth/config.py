@@ -70,24 +70,11 @@ class SynthesisConfig:
     max_worklist_pops:
         Safety valve on worklist processing per call (None = unbounded,
         the deadline is then the only stop).
-    use_execution_cache:
-        Memoize simulated execution in the
-        :class:`~repro.engine.engine.ExecutionEngine` (identical
-        ``(statement, window)`` executions across worklist pops and
-        across incremental calls run once).  Behaviour-preserving; the
-        engine-cache bench measures the speedup.
-    use_index_enumeration:
-        Enumerate selector decompositions from the per-snapshot DOM
-        index's bucket layer (:mod:`repro.engine.index`) instead of
-        re-walking ancestor chains and sibling lists per query.
-        Behaviour-preserving — both paths produce identical candidate
-        lists in identical order (the parity property tests pin this)
-        — so this is an ablation knob, not a semantics knob; off
-        reproduces the legacy ancestor-walk enumeration exactly.  The
-        speculation-index bench measures the speedup.
     max_cache_entries:
         Bound on entries per execution-cache table; least-recently-used
-        outcomes are evicted first.
+        outcomes are evicted first.  ``0`` turns execution memoization
+        off (and with it resumable loops, whose continuations live in
+        the cache).
     shared_cache:
         Back the engine with the *process-level*
         :class:`repro.engine.cache.SharedExecutionCache` instead of a
@@ -160,8 +147,6 @@ class SynthesisConfig:
     max_generalizing_programs: int = 128
     max_store_tuples: int = 256
     max_worklist_pops: int | None = None
-    use_execution_cache: bool = True
-    use_index_enumeration: bool = True
     max_cache_entries: int = 4096
     shared_cache: Optional[bool] = None
     cache_backend: Optional[str] = None
@@ -194,16 +179,6 @@ def numbered_pagination_config(base: SynthesisConfig = DEFAULT_CONFIG) -> Synthe
 def no_incremental_config(base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisConfig:
     """Table 1's "No incremental" ablation: fresh worklist per call."""
     return replace(base, incremental=False)
-
-
-def no_execution_cache_config(base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisConfig:
-    """Execution memoization off: every simulated run recomputed."""
-    return replace(base, use_execution_cache=False)
-
-
-def no_index_enumeration_config(base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisConfig:
-    """Legacy ancestor-walk candidate enumeration (ablation baseline)."""
-    return replace(base, use_index_enumeration=False)
 
 
 def resolved_shared_cache(config: SynthesisConfig) -> bool:

@@ -36,7 +36,7 @@ from repro.lang.ast import (
     Var,
     WhileLoop,
 )
-from repro.synth.alternatives import SelectorSearch, relative_step_candidates
+from repro.synth.alternatives import SelectorSearch
 from repro.synth.config import SynthesisConfig
 
 Binding = Union[ConcreteSelector, ValuePath]
@@ -58,12 +58,7 @@ def parametrize_statement(
     ``config.max_parametrize_variants`` entries.
     """
     if search is None:
-        search = SelectorSearch(
-            use_alternatives=config.use_alternative_selectors,
-            max_suffix_child_steps=config.max_suffix_child_steps,
-            max_decompositions=config.max_decompositions,
-            use_index_enumeration=config.use_index_enumeration,
-        )
+        search = SelectorSearch.for_config(config)
     if var.kind == SEL_VAR:
         assert isinstance(first_binding, ConcreteSelector)
         variants = _parametrize_selector(stmt, var, first_binding, dom, config, search)

@@ -83,12 +83,7 @@ class SpeculationContext:
         self.data = data
         self.config = config
         self.engine = engine or ExecutionEngine.for_config(data, config)
-        self.search = search or SelectorSearch(
-            use_alternatives=config.use_alternative_selectors,
-            max_suffix_child_steps=config.max_suffix_child_steps,
-            max_decompositions=config.max_decompositions,
-            use_index_enumeration=config.use_index_enumeration,
-        )
+        self.search = search or SelectorSearch.for_config(config)
         # Statement-level memos.  Statement objects are shared between a
         # tuple and its extensions, so id-keyed caching hits across spans
         # and across incremental calls; the search object pins referents.

@@ -160,9 +160,7 @@ class SynthesisStats:
     cache_consistency_hits``.  ``index_builds`` counts the per-snapshot
     DOM indexes *this* call forced to be built (scoped via
     :func:`repro.engine.index.track_builds`, so interleaved sessions do
-    not steal each other's builds).  ``enum_indexed`` / ``enum_fallback``
-    are the selector-search enumeration queries answered by the
-    bucket-driven path vs the legacy ancestor walk.
+    not steal each other's builds).
 
     Sharing telemetry: ``cache_cross_session_hits`` is the per-call
     delta of hits served from entries *other* sessions of a shared
@@ -223,8 +221,6 @@ class SynthesisStats:
     persisted_bytes: int = 0
     cache_backend: str = "memory"
     index_builds: int = 0
-    enum_indexed: int = 0
-    enum_fallback: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -277,11 +273,8 @@ class Synthesizer:
         self._actions: list[Action] = []
         self._snapshots: list[DOMNode] = []
         self._store: dict[tuple, RewriteTuple] = {}
-        self._search = self._new_search()
+        self._search = SelectorSearch.for_config(self.config)
         self._engine = ExecutionEngine.for_config(data, config)
-        # resumable loops ride the execution cache's terminal table —
-        # without the cache there is nowhere to keep continuations
-        self._resumable = config.resumable_loops and config.use_execution_cache
         # interning only pays when the cache is actually shared between
         # sessions; a private sharded cache skips the structural keys
         self._use_shared_cache = resolved_shared_cache(config)
@@ -291,22 +284,13 @@ class Synthesizer:
         """The memoizing execution engine serving this session."""
         return self._engine
 
-    def _new_search(self) -> SelectorSearch:
-        return SelectorSearch(
-            use_alternatives=self.config.use_alternative_selectors,
-            max_suffix_child_steps=self.config.max_suffix_child_steps,
-            max_decompositions=self.config.max_decompositions,
-            token_predicates=self.config.use_token_predicates,
-            use_index_enumeration=self.config.use_index_enumeration,
-        )
-
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Forget all state from previous calls."""
         self._actions = []
         self._snapshots = []
         self._store = {}
-        self._search = self._new_search()
+        self._search = SelectorSearch.for_config(self.config)
         self._engine = ExecutionEngine.for_config(self.data, self.config)
 
     def synthesize(
@@ -358,7 +342,6 @@ class Synthesizer:
         if trace_length == 0:
             return result
         engine_before = self._engine.counters()
-        enum_before = (self._search.enum_indexed, self._search.enum_fallback)
 
         with obs_tracing.span(
             "synthesize", actions=trace_length
@@ -465,8 +448,6 @@ class Synthesizer:
         stats.persisted_bytes = engine_after.persisted_bytes
         stats.cache_backend = engine_after.backend
         stats.index_builds = built.count
-        stats.enum_indexed = self._search.enum_indexed - enum_before[0]
-        stats.enum_fallback = self._search.enum_fallback - enum_before[1]
         _SynthMetrics.get().publish(stats)
         return result
 
@@ -525,7 +506,7 @@ class Synthesizer:
                 [stored.statements[-1]],
                 lookahead,
                 max_actions=len(lookahead),
-                resumable=self._resumable,
+                resumable=self.config.resumable_loops,
             ).actions[: len(window)]
             reference = self._actions[slice_start : slice_start + len(produced)]
             consistent = self._engine.consistent_prefix_length(
@@ -574,7 +555,7 @@ class Synthesizer:
             [tuple_.statements[-1]],
             window,
             max_actions=needed + 1,
-            resumable=self._resumable,
+            resumable=self.config.resumable_loops,
         ).actions
         if len(produced) <= needed:
             return None

@@ -1,5 +1,7 @@
 """Unit tests for the memoizing execution engine (repro.engine)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.dom import E, page
@@ -15,7 +17,8 @@ from repro.lang.ast import (
 )
 from repro.dom.xpath import Predicate, parse_selector
 from repro.semantics.trace import DOMTrace
-from repro.synth.config import DEFAULT_CONFIG, no_execution_cache_config
+from repro.benchmarks.suite import benchmark_by_id
+from repro.synth.config import DEFAULT_CONFIG
 from repro.synth.synthesizer import Synthesizer
 
 from helpers import cards_page, scrape_cards_trace
@@ -179,12 +182,37 @@ class TestConsistencyMemo:
         assert engine.counters().hits >= 1
 
 
+#: Execution memoization off: a zero-entry cache is no cache.
+UNCACHED = replace(DEFAULT_CONFIG, max_cache_entries=0)
+
+
 class TestSynthesizerEquivalence:
     def test_cached_and_uncached_sessions_agree(self):
         dom = cards_page(6)
         actions, snapshots = scrape_cards_trace(dom, 4)
         cached = Synthesizer(EMPTY_DATA, DEFAULT_CONFIG)
-        uncached = Synthesizer(EMPTY_DATA, no_execution_cache_config())
+        uncached = Synthesizer(EMPTY_DATA, UNCACHED)
+        for cut in range(1, len(actions) + 1):
+            r_cached = cached.synthesize(actions[:cut], snapshots[: cut + 1])
+            r_uncached = uncached.synthesize(actions[:cut], snapshots[: cut + 1])
+            assert [canonical_program(p) for p in r_cached.programs] == [
+                canonical_program(p) for p in r_uncached.programs
+            ]
+            assert [str(a) for a in r_cached.predictions] == [
+                str(a) for a in r_uncached.predictions
+            ]
+
+    def test_resumable_loops_without_a_cache_match_the_cached_session(self):
+        # resumable loops keep their continuations in the cache; with
+        # no cache the knob must be inert, not change the programs
+        bench = benchmark_by_id("b1")
+        recording = bench.record()
+        actions, snapshots = recording.actions[:10], recording.snapshots
+        uncached_config = replace(UNCACHED, resumable_loops=True)
+        cached = Synthesizer(bench.data, DEFAULT_CONFIG)
+        uncached = Synthesizer(bench.data, uncached_config)
+        assert cached.config.resumable_loops and uncached.config.resumable_loops
+        assert not uncached.engine.cache_enabled
         for cut in range(1, len(actions) + 1):
             r_cached = cached.synthesize(actions[:cut], snapshots[: cut + 1])
             r_uncached = uncached.synthesize(actions[:cut], snapshots[: cut + 1])
@@ -247,7 +275,7 @@ class TestSynthesizerEquivalence:
     def test_uncached_config_reports_no_activity(self):
         dom = cards_page(6)
         actions, snapshots = scrape_cards_trace(dom, 4)
-        synthesizer = Synthesizer(EMPTY_DATA, no_execution_cache_config())
+        synthesizer = Synthesizer(EMPTY_DATA, UNCACHED)
         result = synthesizer.synthesize(actions, snapshots)
         assert result.stats.cache_hits == 0
         assert result.stats.cache_misses == 0

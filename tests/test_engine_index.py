@@ -21,11 +21,11 @@ from repro.engine.index import (
     UNSUPPORTED,
     SnapshotIndex,
     index_for,
-    set_dom_indexes,
     track_builds,
 )
 from repro.synth.alternatives import node_predicates
 
+from enumeration_reference import linear_copy
 from helpers import cards_page, node_at
 
 
@@ -42,13 +42,6 @@ class TestIndexLifecycle:
 
     def test_unfrozen_snapshot_is_never_indexed(self):
         assert index_for(E("div")) is None
-
-    def test_disable_flag_bypasses_indexes(self, dom):
-        previous = set_dom_indexes(False)
-        try:
-            assert index_for(dom) is None
-        finally:
-            set_dom_indexes(previous)
 
 
 class TestNth:
@@ -95,17 +88,15 @@ class TestNth:
 
 class TestRank:
     def test_agrees_with_linear_index_among_descendants(self, dom):
-        set_dom_indexes(False)
-        try:
-            expectations = []
-            for pred in (Predicate("div"), Predicate("div", "class", "card")):
-                for node in dom.iter_subtree():
-                    if pred.matches(node):
-                        expectations.append(
-                            (pred, node, index_among_descendants(None, node, pred, dom))
-                        )
-        finally:
-            set_dom_indexes(True)
+        # an unfrozen copy is never indexed, so its ranks are linear
+        plain = linear_copy(dom)
+        expectations = []
+        for pred in (Predicate("div"), Predicate("div", "class", "card")):
+            for node, twin in zip(dom.iter_subtree(), plain.iter_subtree()):
+                if pred.matches(node):
+                    expectations.append(
+                        (pred, node, index_among_descendants(None, twin, pred, plain))
+                    )
         index = index_for(dom)
         for pred, node, expected in expectations:
             assert index.rank(pred, node, None) == expected
@@ -129,12 +120,7 @@ class TestResolutionEquivalence:
         for text in selectors:
             selector = parse_selector(text)
             fresh = cards_page(4)  # indexed resolution
-            previous = set_dom_indexes(False)
-            try:
-                plain = cards_page(4)
-                linear = resolve(selector, plain)
-            finally:
-                set_dom_indexes(previous)
+            linear = resolve(selector, linear_copy(cards_page(4)))
             indexed = resolve(selector, fresh)
             if linear is None:
                 assert indexed is None

@@ -1,5 +1,8 @@
 """Unit tests for the alternative-selector search."""
 
+import pytest
+
+from repro.benchmarks.suite import benchmark_by_id
 from repro.dom import (
     CHILD,
     DESC,
@@ -9,13 +12,18 @@ from repro.dom import (
     raw_path,
     resolve,
 )
+from repro.lang import EMPTY_DATA
 from repro.synth import (
+    SpeculationContext,
     alternative_selectors,
+    anti_unify_selectors,
     common_alternatives,
     decompositions,
     node_predicates,
     relative_step_candidates,
+    token_predicate_config,
 )
+from repro.synth.alternatives import SelectorSearch
 
 from helpers import cards_page, node_at
 
@@ -196,3 +204,79 @@ class TestCommonAlternatives:
             raw_path(next1), page1, raw_path(next2), page2, use_alternatives=False
         )
         assert shared == []
+
+
+class TestSnapshotRequirement:
+    def test_unfrozen_snapshot_is_rejected(self):
+        from repro.dom import E
+
+        dom = E("html", E("body", E("div", {"class": "card"})))
+        with pytest.raises(ValueError):
+            decompositions(parse_selector("/html[1]/body[1]/div[1]"), dom)
+
+    def test_non_root_snapshot_is_rejected(self):
+        dom = cards_page(2)
+        card = node_at(dom, "//div[@class='card'][1]")
+        with pytest.raises(ValueError):
+            decompositions(parse_selector("/h3[1]"), card)
+
+
+def _au_signature(results):
+    """Anti-unification results with their fresh loop variables erased."""
+    return [(au.general.steps, au.collection, au.first) for au in results]
+
+
+class TestFallbackSearchHonoursConfig:
+    def test_for_config_forwards_every_selector_knob(self):
+        config = token_predicate_config()
+        search = SelectorSearch.for_config(config)
+        assert search.use_alternatives == config.use_alternative_selectors
+        assert search.max_suffix_child_steps == config.max_suffix_child_steps
+        assert search.max_decompositions == config.max_decompositions
+        assert search.token_predicates
+
+    def test_speculation_context_search_uses_token_predicates(self):
+        context = SpeculationContext([], [], EMPTY_DATA, token_predicate_config())
+        assert context.search.token_predicates
+
+    def test_b6_anti_unification_does_not_depend_on_the_search_passed(self):
+        # without an explicit search, anti_unify_selectors builds its
+        # own; it must see the same token predicates as a search the
+        # synthesizer would build from the same config.  Pairs are each
+        # action with the next action of its kind, one loop iteration
+        # apart, as loop speculation pairs them.
+        config = token_predicate_config()
+        recording = benchmark_by_id("b6").record()
+        actions, snapshots = recording.actions, recording.snapshots
+        explicit = SelectorSearch(
+            use_alternatives=config.use_alternative_selectors,
+            max_suffix_child_steps=config.max_suffix_child_steps,
+            max_decompositions=config.max_decompositions,
+            token_predicates=True,
+        )
+        compared = 0
+        for first in range(len(actions)):
+            if actions[first].selector is None:
+                continue
+            second = next(
+                (
+                    later
+                    for later in range(first + 1, len(actions))
+                    if actions[later].kind == actions[first].kind
+                ),
+                None,
+            )
+            if second is None:
+                continue
+            args = (
+                actions[first].selector,
+                snapshots[first],
+                actions[second].selector,
+                snapshots[second],
+                config,
+            )
+            assert _au_signature(anti_unify_selectors(*args)) == _au_signature(
+                anti_unify_selectors(*args, search=explicit)
+            )
+            compared += 1
+        assert compared > 0

@@ -1,11 +1,13 @@
-"""Parity of index-backed vs legacy ancestor-walk candidate enumeration.
+"""Parity of the index-backed enumeration with the reference ancestor walk.
 
-The ``use_index_enumeration`` flag must be behaviour-preserving: both
-paths have to produce the *same* candidate lists in the *same* order —
-anything else would change speculation order and, through the per-span
-caps, the synthesized programs.  These tests pin that contract three
-ways: exhaustively over the generated benchmark sites, property-based
-over random DOMs, and end-to-end over incremental synthesis sessions.
+Production enumeration (:mod:`repro.synth.alternatives`) reads the
+snapshot index's bucket layer; :mod:`enumeration_reference` walks
+ancestor chains on an unindexed copy of the same snapshot.  Both have
+to produce the *same* candidate lists in the *same* order — anything
+else would change speculation order and, through the per-span caps,
+the synthesized programs.  These tests pin that contract exhaustively
+over the generated benchmark sites and property-based over random DOMs;
+the last test pins per-call index-build attribution.
 """
 
 import pytest
@@ -14,15 +16,15 @@ from hypothesis import given, settings, strategies as st
 from repro.benchmarks.suite import benchmark_by_id
 from repro.dom import E, raw_path, resolve
 from repro.lang import EMPTY_DATA
-from repro.lang.ast import canonical_program
 from repro.synth.alternatives import (
     alternative_selectors,
     decompositions,
     relative_step_candidates,
 )
-from repro.synth.config import DEFAULT_CONFIG, no_index_enumeration_config
+from repro.synth.config import DEFAULT_CONFIG
 from repro.synth.synthesizer import Synthesizer
 
+import enumeration_reference as reference
 from helpers import cards_page, scrape_cards_trace
 
 #: One benchmark per site family (news, match, wiki, numbered jobs,
@@ -33,67 +35,68 @@ FAMILY_SAMPLE = ("b1", "b6", "b11", "b9", "b12", "b16", "b38", "b41", "b50", "b3
 
 
 def recorded_queries(bid):
-    """Distinct (selector, snapshot) pairs a benchmark's trace poses."""
+    """Distinct (selector, snapshot, linear copy) triples of a trace."""
     recording = benchmark_by_id(bid).record()
-    pairs = []
+    triples = []
+    copies = {}
     seen = set()
     for position, action in enumerate(recording.actions):
         if action.selector is None:
             continue
-        key = (action.selector, id(recording.snapshots[position]))
+        dom = recording.snapshots[position]
+        key = (action.selector, id(dom))
         if key not in seen:
             seen.add(key)
-            pairs.append((action.selector, recording.snapshots[position]))
-    return pairs
+            if id(dom) not in copies:
+                copies[id(dom)] = reference.linear_copy(dom)
+            triples.append((action.selector, dom, copies[id(dom)]))
+    return triples
+
+
+def mirror(node, copy_root):
+    """The node of ``copy_root`` at ``node``'s raw path."""
+    return resolve(raw_path(node), copy_root)
 
 
 @pytest.mark.parametrize("bid", FAMILY_SAMPLE)
 @pytest.mark.parametrize("use_alternatives", [True, False])
 def test_benchmark_parity(bid, use_alternatives):
-    for selector, dom in recorded_queries(bid):
+    for selector, dom, twin in recorded_queries(bid):
         for token_predicates in (False, True):
             indexed = decompositions(
                 selector,
                 dom,
                 use_alternatives=use_alternatives,
                 token_predicates=token_predicates,
-                use_index_enumeration=True,
             )
-            legacy = decompositions(
+            walked = reference.decompositions(
                 selector,
-                dom,
+                twin,
                 use_alternatives=use_alternatives,
                 token_predicates=token_predicates,
-                use_index_enumeration=False,
             )
-            assert indexed == legacy  # same set AND same ranking order
+            assert indexed == walked  # same set AND same ranking order
         assert alternative_selectors(
-            selector, dom, use_alternatives, use_index_enumeration=True
-        ) == alternative_selectors(
-            selector, dom, use_alternatives, use_index_enumeration=False
-        )
+            selector, dom, use_alternatives
+        ) == reference.alternative_selectors(selector, twin, use_alternatives)
 
 
 @pytest.mark.parametrize("bid", FAMILY_SAMPLE[:4])
 def test_benchmark_relative_parity(bid):
-    for selector, dom in recorded_queries(bid):
+    for selector, dom, twin in recorded_queries(bid):
         target = resolve(selector, dom)
         if target is None:
             continue
+        twin_target = mirror(target, twin)
         base = target
         while base is not None:
             if base is not target:
+                twin_base = mirror(base, twin)
                 for token_predicates in (False, True):
                     assert relative_step_candidates(
-                        base,
-                        target,
-                        token_predicates=token_predicates,
-                        use_index_enumeration=True,
-                    ) == relative_step_candidates(
-                        base,
-                        target,
-                        token_predicates=token_predicates,
-                        use_index_enumeration=False,
+                        base, target, token_predicates=token_predicates
+                    ) == reference.relative_step_candidates(
+                        twin_base, twin_target, token_predicates=token_predicates
                     )
             base = base.parent
 
@@ -126,6 +129,7 @@ class TestRandomDomParity:
     def test_decompositions_agree_for_every_node(
         self, root, use_alternatives, token_predicates
     ):
+        twin = reference.linear_copy(root)
         for node in root.iter_subtree():
             selector = raw_path(node)
             indexed = decompositions(
@@ -133,49 +137,30 @@ class TestRandomDomParity:
                 root,
                 use_alternatives=use_alternatives,
                 token_predicates=token_predicates,
-                use_index_enumeration=True,
             )
-            legacy = decompositions(
+            walked = reference.decompositions(
                 selector,
-                root,
+                twin,
                 use_alternatives=use_alternatives,
                 token_predicates=token_predicates,
-                use_index_enumeration=False,
             )
-            assert indexed == legacy
+            assert indexed == walked
 
     @given(dom_trees(), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_relative_candidates_agree_for_root_anchors(self, root, token_predicates):
+        twin = reference.linear_copy(root)
         for node in root.iter_subtree():
             if node is root:
                 continue
             assert relative_step_candidates(
-                root, node, token_predicates=token_predicates, use_index_enumeration=True
-            ) == relative_step_candidates(
-                root, node, token_predicates=token_predicates, use_index_enumeration=False
+                root, node, token_predicates=token_predicates
+            ) == reference.relative_step_candidates(
+                twin, mirror(node, twin), token_predicates=token_predicates
             )
 
 
 class TestSynthesizerParity:
-    def test_sessions_agree_program_for_program(self):
-        dom = cards_page(6)
-        actions, snapshots = scrape_cards_trace(dom, 4)
-        indexed = Synthesizer(EMPTY_DATA, DEFAULT_CONFIG)
-        legacy = Synthesizer(EMPTY_DATA, no_index_enumeration_config())
-        for cut in range(1, len(actions) + 1):
-            r_indexed = indexed.synthesize(actions[:cut], snapshots[: cut + 1])
-            r_legacy = legacy.synthesize(actions[:cut], snapshots[: cut + 1])
-            assert [canonical_program(p) for p in r_indexed.programs] == [
-                canonical_program(p) for p in r_legacy.programs
-            ]
-            assert [str(a) for a in r_indexed.predictions] == [
-                str(a) for a in r_legacy.predictions
-            ]
-        assert r_indexed.stats.enum_indexed > 0
-        assert r_indexed.stats.enum_fallback == 0
-        assert r_legacy.stats.enum_indexed == 0
-
     def test_interleaved_sessions_attribute_their_own_index_builds(self):
         # two sessions over different sites, alternating calls: each
         # call reports exactly the builds its own snapshots forced.
